@@ -4,8 +4,8 @@ A graph with a known degree sequence is one point in the set of half-edge
 pairings consistent with that sequence.  Counting the pairings that sort
 strictly below it (row-major adjacency order) gives an integer rank; the
 rank, divided by the pairings that collapse to the same simple graph, is
-the codeword.  Decoding walks the count back down with interval proxies
-and per-vertex binary search.
+the codeword.  Decoding walks the count back down with interval proxies,
+finding each neighbor by one Fenwick-tree descent.
 """
 
 from lwcg import (

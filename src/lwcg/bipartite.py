@@ -4,7 +4,8 @@ A graph with left degrees a and right degrees b is mapped to the integer
 f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
 a divide-and-conquer recursion over intervals of left vertices; decoding
-inverts it with interval proxies and per-vertex binary search.
+inverts it with interval proxies; each neighbor is found by one Fenwick
+descent to a threshold on the residual half-edge count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fenwick import SuffixFenwick
-from .intmath import ONE, ZERO, ceil_div, compute_product, mpz, prod_factorial
+from .intmath import (ONE, ZERO, ceil_div, compute_product, falling_threshold, mpz,
+                      prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -110,57 +112,65 @@ def b_encode(inst: BipartiteInstance):
 
 
 def _decode_node(a, bres, fen, i, n_r, ntilde):
-    """Recover the neighbor list of left vertex i from its proxy count."""
+    """Recover the neighbor list of left vertex i from its proxy count.
+
+    Neighbor w is the smallest above the last one with
+    floor((S_{w+1})_q / q!) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a
+    threshold on S_{w+1} that one Fenwick descent locates.
+    """
     z_t = ntilde
     z = ZERO
     l = ONE
     ai = a[i - 1]
     neigh = []
-    prev = 0
+    lo = 1
     for k in range(ai):
+        if lo > n_r:
+            raise ValueError(f"left vertex {i}: neighbor list runs past {n_r}")
         q = ai - k
-        lo = prev + 1 if k else 1
-        hi = n_r
         qfact = compute_product(q, q, 1)
-        while hi > lo:
-            mid = (lo + hi) // 2
-            y = compute_product(fen.suffix_sum(1 + mid), q, 1) // qfact
-            if y <= z_t:
-                hi = mid
-            else:
-                lo = mid + 1
-        prev = lo
-        neigh.append(lo)
         y = compute_product(fen.suffix_sum(1 + lo), q, 1) // qfact
-        z_t = (z_t - y) // bres[lo]
+        if y > z_t:
+            s_max = falling_threshold((z_t + 1) * qfact - 1, q)
+            lo = fen.first_at_most(s_max) - 1  # in (lo, n_r]: S_{lo+1} > s_max
+            y = compute_product(fen.suffix_sum(1 + lo), q, 1) // qfact
+        res = bres[lo]
+        if not res:
+            raise ValueError(f"left vertex {i}: right vertex {lo} has no half-edge left")
+        neigh.append(lo)
+        z_t = (z_t - y) // res
         z += l * y
-        l *= bres[lo]
+        l *= res
         fen.add(lo, -1)
-        bres[lo] -= 1
+        bres[lo] = res - 1
+        lo += 1
     return z, neigh, l
 
 
-def _decode_interval(a, bres, fen, wfen, i, j, n_r, ntilde, out):
-    """Decode left vertices [i, j]; returns (N_ij, l_ij)."""
+def _decode_interval(a, bres, fen, asuf, i, j, n_r, ntilde, out):
+    """Decode left vertices [i, j]; returns (N_ij, l_ij).
+
+    asuf[k] is the left degree sum from k on, which decoding never changes.
+    """
     if i == j:
         n_ii, neigh, l = _decode_node(a, bres, fen, i, n_r, ntilde)
         out[i - 1] = tuple(neigh)
         return n_ii, l
     k = (i + j) // 2
-    s_k1 = wfen.suffix_sum(k + 1)
-    s_j1 = wfen.suffix_sum(j + 1)
+    s_k1 = asuf[k + 1]
+    s_j1 = asuf[j + 1]
     r = compute_product(s_k1, s_k1 - s_j1, 1) // prod_factorial(a, k + 1, j)
-    n_ik, l_ik = _decode_interval(a, bres, fen, wfen, i, k, n_r, ntilde // r, out)
+    n_ik, l_ik = _decode_interval(a, bres, fen, asuf, i, k, n_r, ntilde // r, out)
     nt_kj = (ntilde - n_ik * r) // l_ik
-    n_kj, l_kj = _decode_interval(a, bres, fen, wfen, k + 1, j, n_r, nt_kj, out)
+    n_kj, l_kj = _decode_interval(a, bres, fen, asuf, k + 1, j, n_r, nt_kj, out)
     return n_ik * r + l_ik * n_kj, l_ik * l_kj
 
 
 def b_decode(f, a, b) -> tuple:
     """Inverse of b_encode given the two degree sequences.
 
-    Defined only on valid ranks; inconsistent degree sums are rejected,
-    anything else garbage-in garbage-out.
+    Inconsistent degree sums are rejected.  A rank that is out of range
+    either raises ValueError or decodes to some graph with these degrees.
     """
     if sum(a) != sum(b):
         raise ValueError("degree sums differ between sides")
@@ -170,9 +180,11 @@ def b_decode(f, a, b) -> tuple:
     ntilde = mpz(f) * prod_factorial(b, 1, n_r) if n_r else mpz(f)
     bres = [0] + [int(x) for x in b]
     fen = SuffixFenwick(list(b))
-    wfen = SuffixFenwick(list(a))
+    asuf = [0] * (n_l + 2)
+    for k in range(n_l, 0, -1):
+        asuf[k] = asuf[k + 1] + a[k - 1]
     out = [()] * n_l
-    _decode_interval(a, bres, fen, wfen, 1, n_l, n_r, ntilde, out)
+    _decode_interval(a, bres, fen, asuf, 1, n_l, n_r, ntilde, out)
     return tuple(out)
 
 

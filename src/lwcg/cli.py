@@ -13,15 +13,15 @@ from .graph_model import canonical_edges, format_edge_list, parse_edge_list
 from .synthetic import estimate_bc_entropy_h1, gen_synthetic
 
 
-def _report(n: int, m: int, nbytes: int) -> str:
-    bits = 8 * nbytes
-    bpl = f"{bits / m:.3f}" if m else "n/a"
-    ln = (bits * math.log(2) - m * math.log(n)) / n
-    return (f"n={n} m={m} bytes={nbytes} bpl={bpl} l_n={ln:.4f}")
-
-
 def _normalized_length(n: int, m: int, nbytes: int) -> float:
+    """l_n in nats per vertex: stream length minus m log n, over n."""
     return (8 * nbytes * math.log(2) - m * math.log(n)) / n
+
+
+def _report(n: int, m: int, nbytes: int) -> str:
+    bpl = f"{8 * nbytes / m:.3f}" if m else "n/a"
+    ln = _normalized_length(n, m, nbytes)
+    return f"n={n} m={m} bytes={nbytes} bpl={bpl} l_n={ln:.4f}"
 
 
 def cmd_compress(args) -> int:

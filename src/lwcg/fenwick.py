@@ -23,6 +23,7 @@ class SuffixFenwick:
             if parent <= self._n:
                 tree[parent] += tree[i]
         self._tree = tree
+        self._top = 1 << (self._n.bit_length() - 1) if self._n else 0
 
     def __len__(self) -> int:
         return self._n
@@ -51,6 +52,27 @@ class SuffixFenwick:
             total += tree[i]
             i -= i & -i
         return total
+
+    def first_at_most(self, s: int) -> int:
+        """Smallest k in [1, n+1] with suffix_sum(k) <= s; n+1 when s < 0.
+
+        One top-down descent: the largest reversed index whose prefix sum
+        stays <= s.  Requires every a[k] >= 0, which makes suffix_sum
+        non-increasing in k.
+        """
+        if s < 0:
+            return self._n + 1
+        tree = self._tree
+        n = self._n
+        pos = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] <= s:
+                pos = nxt
+                s -= tree[nxt]
+            step >>= 1
+        return n - pos + 1
 
     def total(self) -> int:
         return self.suffix_sum(1)

@@ -8,6 +8,8 @@ ints are a correct fallback.
 
 from __future__ import annotations
 
+from math import perm
+
 try:
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -68,6 +70,41 @@ def binomial(n: int, m: int):
     if num == 0:
         return num
     return num // compute_product(m, m, 1)
+
+
+def falling_threshold(z, q: int) -> int:
+    """Largest S >= 0 with S(S-1)...(S-q+1) <= z, for q >= 1; -1 if z < 0.
+
+    The falling factorial (S)_q lies between (S-q+1)^q and (S-(q-1)/2)^q,
+    so S is the integer q-th root of z plus about (q-1)/2; a few exact
+    steps settle it.  The root comes from a float while it has under 50
+    bits (and z fits a float), otherwise from integer Newton steps.
+    """
+    if z < 0:
+        return -1
+    if q == 1:
+        return int(z)
+    nbits = z.bit_length()
+    if nbits <= min(1000, 50 * q):
+        root = int(float(z) ** (1.0 / q))
+    else:
+        root = _iroot(z, q)
+    s = max(root + (q - 1) // 2, q - 1)
+    while perm(s, q) > z:
+        s -= 1
+    while perm(s + 1, q) <= z:
+        s += 1
+    return s
+
+
+def _iroot(z, q: int):
+    """floor(z ** (1/q)) for z >= 0 by Newton's method from above."""
+    x = 1 << -(-z.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + z // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
 
 def ceil_div(a, b):

@@ -323,21 +323,24 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
         ip = reader.read_fixed(w_label)
         if (i, ip) not in partition_deg or ((i < ip) and (ip, i) not in partition_deg):
             raise CodecError(f"partition key ({i},{ip}) has no degree data")
-        if i < ip:
-            f = reader.read_elias_delta() - 1
-            adj = b_decode(f, tuple(partition_deg[(i, ip)]),
-                           tuple(partition_deg[(ip, i)]))
-        elif i == ip:
-            f = reader.read_elias_delta() - 1
+        if i > ip:
+            raise CodecError(f"partition key ({i},{ip}) not in increasing order")
+        f = reader.read_elias_delta() - 1
+        if i == ip:
             ln = reader.read_elias_delta() - 1
             if ln > reader.remaining():
                 raise CodecError("checkpoint count exceeds remaining stream")
             cps = [0] * (ln + 1)
             for j in range(1, ln + 1):
                 cps[j] = reader.read_elias_delta() - 1
-            adj = s_decode(f, cps, tuple(partition_deg[(i, i)]))
-        else:
-            raise CodecError(f"partition key ({i},{ip}) not in increasing order")
+        try:
+            if i < ip:
+                adj = b_decode(f, tuple(partition_deg[(i, ip)]),
+                               tuple(partition_deg[(ip, i)]))
+            else:
+                adj = s_decode(f, cps, tuple(partition_deg[(i, i)]))
+        except ValueError as exc:
+            raise CodecError(f"partition ({i},{ip}) rank: {exc}") from exc
         x = t_mark[i]
         xp = t_mark[ip]
         back_a = original_index[(i, ip)]

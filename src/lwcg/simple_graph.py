@@ -4,7 +4,10 @@ The rank f counts half-edge matchings whose adjacency vector precedes the
 graph's (upper-triangular, row-major), divided by prod(a_v!).  Alongside f
 the encoder emits a checkpoint array of residual half-edge totals at the
 midpoints of large recursion intervals; the decoder needs those to split
-its proxy counts without re-walking the prefix.
+its proxy counts without re-walking the prefix.  Below the checkpoint
+threshold the decoder walks a chain of vertices one at a time, carrying
+the interval ratio forward by exact division, and finds each neighbor by
+one Fenwick descent to a threshold on the residual half-edge count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .fenwick import SuffixFenwick
-from .intmath import ONE, ZERO, ceil_div, compute_product, mpz, prod_factorial
+from .intmath import (ONE, ZERO, ceil_div, compute_product, falling_threshold, mpz,
+                      prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -118,50 +122,91 @@ def s_encode(inst: SimpleInstance):
 
 
 def _decode_node(ares, fen, i, pn, ntilde):
+    """Recover the forward neighbors of vertex i from its proxy count.
+
+    Neighbor w is the smallest above the last one with
+    (S_{w+1})_q <= z~, i.e. with S_{w+1} <= falling_threshold(z~, q): one
+    Fenwick descent, unless the first candidate already qualifies.
+    """
     z_t = ntilde
     z = ZERO
     l = ONE
     ahat = ares[i]
     neigh = []
-    prev = i
+    lo = i + 1
     for k in range(ahat):
+        if lo > pn:
+            raise ValueError(f"vertex {i}: neighbor list runs past vertex {pn}")
         q = ahat - k
-        lo, hi = prev + 1, pn
-        while hi > lo:
-            mid = (lo + hi) // 2
-            if compute_product(fen.suffix_sum(1 + mid), q, 1) <= z_t:
-                hi = mid
-            else:
-                lo = mid + 1
-        prev = lo
-        neigh.append(lo)
         y = compute_product(fen.suffix_sum(1 + lo), q, 1)
+        if y > z_t:
+            # Lands in (lo, pn]: S_{lo+1} is above the threshold.
+            lo = fen.first_at_most(falling_threshold(z_t, q)) - 1
+            y = compute_product(fen.suffix_sum(1 + lo), q, 1)
+        res = ares[lo]
+        if not res:
+            raise ValueError(f"vertex {i}: neighbor {lo} has no half-edge left")
+        neigh.append(lo)
         z += l * y
-        c = q * ares[lo]
+        c = q * res
         l *= c
-        ares[lo] -= 1
+        ares[lo] = res - 1
         fen.add(lo, -1)
         z_t = (z_t - y) // c
+        lo += 1
     return z, neigh, l
 
 
-def _decode_interval(ares, fen, i, j, pn, ntilde, index, s_j1, cps, thr, a, out):
-    if i == j:
-        n_ii, neigh, l = _decode_node(ares, fen, i, pn, ntilde)
-        out[i - 1] = tuple(neigh)
-        return n_ii, l
-    if j - i + 1 > thr:
-        k = (i + j) // 2
-        s_k1 = cps[index]
-    else:
-        k = i
-        s_k1 = fen.suffix_sum(i) - 2 * ares[i]
+def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
+    """Decode vertices i..j one at a time; returns (N_ij, l_ij).
+
+    Vertex v's proxy is the running proxy divided by
+    r_v = (s_v - 1)!! / (s_j1 - 1)!!, s_v being the half-edges left after v.
+    r is built once at the chain head and then shrunk by exact division
+    with the terms each decoded vertex removes.  (N, l) are folded back in
+    reverse, as the per-vertex recursion N = n_v r_v + l_v N_rest does.
+    """
+    s = fen.suffix_sum(i) - 2 * ares[i]
+    if s < s_j1 or (s - s_j1) % 2:
+        raise ValueError(f"vertex {i}: residual half-edges below the checkpoint")
+    r = compute_product(s - 1, (s - s_j1) // 2, 2)
+    steps = []
+    for v in range(i, j):
+        n_v, neigh, l_v = _decode_node(ares, fen, v, pn, ntilde // r)
+        out[v - 1] = tuple(neigh)
+        p_v = n_v * r
+        steps.append((p_v, l_v))
+        ntilde = (ntilde - p_v) // l_v
+        drop = ares[v + 1]
+        if 2 * drop > s - s_j1:
+            raise ValueError(f"vertex {v + 1}: residual half-edges below the checkpoint")
+        r //= compute_product(s - 1, drop, 2)
+        s -= 2 * drop
+    n_ij, neigh, l_ij = _decode_node(ares, fen, j, pn, ntilde)
+    out[j - 1] = tuple(neigh)
+    if s != s_j1:
+        raise ValueError(f"vertex {j}: half-edges left do not match the checkpoint")
+    for p_v, l_v in reversed(steps):
+        n_ij = p_v + l_v * n_ij
+        l_ij *= l_v
+    return n_ij, l_ij
+
+
+def _decode_interval(ares, fen, i, j, pn, ntilde, index, s_j1, cps, thr, out):
+    if j - i + 1 <= thr:
+        return _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out)
+    if index >= len(cps):
+        raise ValueError(f"checkpoint {index} missing: only {len(cps) - 1} given")
+    k = (i + j) // 2
+    s_k1 = cps[index]
+    if s_k1 < s_j1 or (s_k1 - s_j1) % 2:
+        raise ValueError(f"checkpoint {index} is below the one after it")
     r = compute_product(s_k1 - 1, (s_k1 - s_j1) // 2, 2)
     n_ik, l_ik = _decode_interval(ares, fen, i, k, pn, ntilde // r,
-                                  2 * index, s_k1, cps, thr, a, out)
+                                  2 * index, s_k1, cps, thr, out)
     nt_kj = (ntilde - n_ik * r) // l_ik
     n_kj, l_kj = _decode_interval(ares, fen, k + 1, j, pn, nt_kj,
-                                  2 * index + 1, s_j1, cps, thr, a, out)
+                                  2 * index + 1, s_j1, cps, thr, out)
     return n_ik * r + l_ik * n_kj, l_ik * l_kj
 
 
@@ -175,7 +220,7 @@ def s_decode(f, cps, a) -> tuple:
     fen = SuffixFenwick(list(a))
     out = [()] * pn
     _decode_interval(ares, fen, 1, pn, pn, ntilde, 1, 0, cps,
-                     split_threshold(pn), a, out)
+                     split_threshold(pn), out)
     return tuple(out)
 
 

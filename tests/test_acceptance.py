@@ -7,7 +7,6 @@ measured gap the test prints); 8 is optional and skipped without the
 external dataset.
 """
 
-import math
 import random
 import time
 
@@ -16,6 +15,7 @@ import pytest
 from conftest import random_marked_graph, sample_graph
 from lwcg.bipartite import b_configuration_count, b_count_oracle, b_encode
 from lwcg.bits import BitReader, BitWriter
+from lwcg.cli import _normalized_length
 from lwcg.edge_types import extract_types
 from lwcg.fenwick import SuffixFenwick
 from lwcg.graph_model import EdgeListGraph, canonical_edges, preprocess
@@ -226,10 +226,6 @@ def test_criterion_5_sample_graph_fixtures():
         y.append(sig_ids[tuple(sig)])
     assert y == [1] + [2] * 5 + [3] * 10
     _verdict(5, True, "(star set, Deg, partition and index tables, y)")
-
-
-def _normalized_length(n, m, nbytes):
-    return (8 * nbytes * math.log(2) - m * math.log(n)) / n
 
 
 def _criterion_6_measurements():

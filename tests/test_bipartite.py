@@ -148,3 +148,41 @@ def test_validation_rejects_bad_adjacency():
         BipartiteInstance(a=(1,), b=(1, 1), adj=((1,),))
     with pytest.raises(ValueError):
         BipartiteInstance(a=(1,), b=(0, 1), adj=((1,),))
+
+
+def test_roundtrip_right_degrees_up_to_20():
+    rng = random.Random(24)
+    for n_l, n_r in ((300, 60), (1000, 150)):
+        adj = []
+        b = [0] * (n_r + 1)
+        for _ in range(n_l):
+            open_right = [w for w in range(1, n_r + 1) if b[w] < 20]
+            neigh = sorted(rng.sample(open_right, min(rng.randint(0, 8), len(open_right))))
+            for w in neigh:
+                b[w] += 1
+            adj.append(tuple(neigh))
+        inst = BipartiteInstance(a=tuple(len(x) for x in adj), b=tuple(b[1:]),
+                                 adj=tuple(adj))
+        assert max(inst.b) == 20
+        assert b_decode(b_encode(inst), inst.a, inst.b) == inst.adj
+
+
+def test_out_of_range_ranks_fail_cleanly():
+    # A rank past the count decodes to some graph with the same degrees or
+    # raises ValueError, never ZeroDivisionError or IndexError.
+    rng = random.Random(25)
+    outcomes = set()
+    for _ in range(300):
+        inst = random_instance(rng, max_side=25, max_deg=6)
+        bound = ceil_div(compute_product(sum(inst.a), sum(inst.a), 1),
+                         prod_factorial(inst.b, 1, inst.n_r))
+        bad = rng.choice((bound + 1 + rng.randrange(bound + 1),
+                          rng.getrandbits(rng.randint(1, 400))))
+        try:
+            adj = b_decode(bad, inst.a, inst.b)
+        except ValueError:
+            outcomes.add("ValueError")
+            continue
+        BipartiteInstance(a=inst.a, b=inst.b, adj=adj)  # increasing, in range
+        outcomes.add("graph")
+    assert "ValueError" in outcomes

@@ -63,3 +63,44 @@ def test_interleaved_ops_vs_naive():
             k = rng.randint(1, n + 3)
             assert fen.suffix_sum(k) == sum(a[k - 1:])
     assert fen.total() == sum(a)
+
+
+def _first_at_most_naive(a, s):
+    for k in range(1, len(a) + 2):
+        if sum(a[k - 1:]) <= s:
+            return k
+    raise AssertionError("suffix_sum(n+1) is 0")
+
+
+def test_first_at_most_vs_naive():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        a = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+        fen = SuffixFenwick(a)
+        total = sum(a)
+        for s in list(range(-2, total + 3)) + [10 * total + 7]:
+            expect = n + 1 if s < 0 else _first_at_most_naive(a, s)
+            assert fen.first_at_most(s) == expect, (a, s)
+
+
+def test_first_at_most_edges():
+    fen = SuffixFenwick([4])
+    assert [fen.first_at_most(s) for s in (-1, 0, 3, 4, 9)] == [2, 2, 2, 1, 1]
+    fen = SuffixFenwick([0, 0, 0])
+    assert fen.first_at_most(0) == 1
+    assert SuffixFenwick([]).first_at_most(0) == 1
+
+
+def test_first_at_most_after_updates():
+    rng = random.Random(13)
+    n = 37
+    a = [rng.randint(0, 6) for _ in range(n)]
+    fen = SuffixFenwick(a)
+    for _ in range(2000):
+        k = rng.randint(1, n)
+        if a[k - 1]:
+            a[k - 1] -= 1
+            fen.add(k, -1)
+        s = rng.randint(0, sum(a) + 1)
+        assert fen.first_at_most(s) == _first_at_most_naive(a, s)

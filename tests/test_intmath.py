@@ -8,6 +8,7 @@ from lwcg.intmath import (
     ceil_div,
     compute_product,
     double_factorial_ratio,
+    falling_threshold,
     prod_factorial,
 )
 
@@ -97,3 +98,42 @@ def test_ceil_div():
     assert ceil_div(0, 5) == 0
     assert ceil_div(10, 5) == 2
     assert ceil_div(11, 5) == 3
+
+
+def _threshold_naive(z, q):
+    s = -1
+    while math.perm(s + 1, q) <= z:
+        s += 1
+    return s
+
+
+def test_falling_threshold_vs_naive():
+    rng = random.Random(7)
+    for q in range(1, 21):
+        zs = {0, 1, 2, math.factorial(q) - 1, math.factorial(q)}
+        for _ in range(40):
+            s = rng.randint(0, 60)
+            zs.add(math.perm(s, q) + rng.randint(-1, 1))
+        for z in sorted(zs):
+            if z >= 0:
+                assert falling_threshold(z, q) == _threshold_naive(z, q), (z, q)
+
+
+def test_falling_threshold_negative_and_zero():
+    for q in range(1, 21):
+        assert falling_threshold(-1, q) == -1
+        assert falling_threshold(0, q) == q - 1
+
+
+def test_falling_threshold_beyond_float_range():
+    # z wider than 1,024 bits does not fit a float: the integer root path.
+    rng = random.Random(8)
+    for q in (1, 2, 3, 7, 20):
+        for _ in range(20):
+            s = rng.randint(2 ** (1100 // q), 2 ** (1100 // q + 1))
+            p = math.perm(s, q)
+            assert p.bit_length() > 1024
+            assert falling_threshold(p - 1, q) == s - 1
+            assert falling_threshold(p, q) == s
+            t = falling_threshold(p + 1, q)
+            assert math.perm(t, q) <= p + 1 < math.perm(t + 1, q)

@@ -19,6 +19,7 @@ from lwcg.pipeline import (
     find_partition_graphs,
     find_star_vertices,
 )
+from lwcg.synthetic import gen_synthetic
 
 
 def fig_tables(fig_graph, h=2, delta=4):
@@ -381,3 +382,24 @@ def test_edge_count_conservation():
             if table.is_star_edge(v, i) and nl.gamma[v][i] > v)
         total_deg = sum(sum(d.values()) for d in deg[1:])
         assert total_deg == 2 * (g.m - m_star)
+
+
+@pytest.mark.parametrize("sigma, shift", [(1, 1000), (2, 100)])
+def test_out_of_range_partition_rank_raises_codec_error(monkeypatch, sigma, shift):
+    # Write a stream whose partition ranks lie past their counts; the rank
+    # decoders' ValueError must reach the caller as CodecError.
+    import lwcg.pipeline as pipeline
+    g = gen_synthetic(300, 3.0, sigma, sigma, 71)
+    s_encode, b_encode = pipeline.s_encode, pipeline.b_encode
+
+    def bad_s_encode(inst):
+        f, cps = s_encode(inst)
+        return f + (1 << shift) + 7, cps
+
+    monkeypatch.setattr(pipeline, "s_encode", bad_s_encode)
+    monkeypatch.setattr(pipeline, "b_encode", lambda inst: b_encode(inst) + (1 << shift) + 7)
+    data = encode_marked_graph(g, 1, 20)
+    monkeypatch.undo()
+    with pytest.raises(CodecError) as info:
+        decode_marked_graph(data)
+    assert isinstance(info.value.__cause__, ValueError)

@@ -190,3 +190,72 @@ def test_rejects_tiny_and_inconsistent():
         SimpleInstance(a=(1, 1), fwd=((), ()))
     with pytest.raises(ValueError):
         SimpleInstance(a=(1, 1), fwd=((1,), ()))
+
+
+def sparse_instance(rng, pn, max_deg, m):
+    """About m random edges, no vertex above max_deg: long chains of
+    vertices and, for large pn, checkpoints several levels deep."""
+    deg = [0] * (pn + 1)
+    edges = set()
+    for _ in range(m):
+        v, w = rng.sample(range(1, pn + 1), 2)
+        if deg[v] < max_deg and deg[w] < max_deg and (min(v, w), max(v, w)) not in edges:
+            edges.add((min(v, w), max(v, w)))
+            deg[v] += 1
+            deg[w] += 1
+    # A few hubs at the degree cap.
+    for hub in rng.sample(range(1, pn + 1), 3):
+        for w in rng.sample(range(1, pn + 1), pn // 2):
+            if deg[hub] >= max_deg:
+                break
+            e = (min(hub, w), max(hub, w))
+            if w != hub and deg[w] < max_deg and e not in edges:
+                edges.add(e)
+                deg[hub] += 1
+                deg[w] += 1
+    return instance_from_edges(pn, sorted(edges))
+
+
+@pytest.mark.parametrize("pn, m", [(200, 900), (1500, 6000)])
+def test_roundtrip_large_instances(pn, m):
+    rng = random.Random(pn)
+    for _ in range(3):
+        inst = sparse_instance(rng, pn, 20, m)
+        assert max(inst.a) == 20
+        f, cps = s_encode(inst)
+        assert s_decode(f, cps, inst.a) == inst.fwd
+
+
+def test_out_of_range_ranks_fail_cleanly():
+    # A rank past the count decodes to some graph with the same degrees or
+    # raises ValueError; the decoder must not divide by zero or index past
+    # the vertex set.
+    rng = random.Random(36)
+    outcomes = set()
+    for _ in range(300):
+        inst = random_instance(rng, max_n=25, max_deg=6)
+        f, cps = s_encode(inst)
+        bound = ceil_div(double_factorial_ratio(sum(inst.a), 0),
+                         prod_factorial(inst.a, 1, inst.pn))
+        bad = rng.choice((bound + 1 + rng.randrange(bound + 1),
+                          rng.getrandbits(rng.randint(1, 400))))
+        try:
+            fwd = s_decode(bad, cps, inst.a)
+        except ValueError:
+            outcomes.add("ValueError")
+            continue
+        SimpleInstance(a=inst.a, fwd=fwd)  # increasing, in range, degrees match
+        outcomes.add("graph")
+    assert "ValueError" in outcomes
+
+
+def test_bad_checkpoints_raise_value_error():
+    rng = random.Random(37)
+    inst = sparse_instance(rng, 200, 20, 900)
+    f, cps = s_encode(inst)
+    with pytest.raises(ValueError):
+        s_decode(f, cps[:2], inst.a)  # too few checkpoints
+    broken = list(cps)
+    broken[1] += 1  # odd residual count
+    with pytest.raises(ValueError):
+        s_decode(f, broken, inst.a)

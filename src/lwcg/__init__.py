@@ -15,7 +15,7 @@ from .graph_model import (
     canonical_edges,
     preprocess,
 )
-from .bits import BitWriter, BitReader, TruncatedStreamError, width
+from .bits import BitWriter, BitReader, CodecError, TruncatedStreamError, width
 from .fenwick import SuffixFenwick
 from .intmath import compute_product, prod_factorial, double_factorial_ratio, binomial
 from .edge_types import EdgeTypeTable, MarkedTree, extract_types, lambda_canonical
@@ -29,7 +29,7 @@ from .simple_graph import (
     split_threshold,
 )
 from .sequences import encode_sequence, decode_sequence
-from .pipeline import encode_marked_graph, decode_marked_graph, CodecError
+from .pipeline import encode_marked_graph, decode_marked_graph
 from .synthetic import gen_synthetic, estimate_bc_entropy_h1
 
 __all__ = [

@@ -5,13 +5,16 @@ f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
 a divide-and-conquer recursion over intervals of left vertices; decoding
 inverts it with interval proxies; each neighbor is found by one Fenwick
-descent to a threshold on the residual half-edge count.
+descent to a threshold on the residual half-edge count.  The interval
+ratios both directions need depend on the left degrees alone, so one
+product tree built bottom-up from binomials holds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, factorial
 
 from .fenwick import SuffixFenwick
 from .intmath import (ONE, ZERO, ceil_div, compute_product, falling_threshold, mpz,
@@ -54,41 +57,71 @@ class BipartiteInstance:
         return len(self.b)
 
 
-def _compute_n(a, adj, bres, fen, i, j, trace):
-    """Configuration count and l-product for left interval [i, j].
+def ratio_tree(a, spine: bool = False) -> list:
+    """Interval ratios of the left degrees a, heap-indexed from node 1.
+
+    Node 1 is the interval [1, len(a)] and node x over [i, j] has children
+    2x over [i, k] and 2x+1 over [k+1, j], k = (i+j)//2, as the recursion
+    splits.  With s_p the left degree sum from p on, the ratio of [i, j] is
+    (s_i)_{s_i - s_{j+1}} / prod(a_p!) = prod C(s_p, a_p) over p in [i, j]:
+    leaves are binomials and each internal node is the product of its
+    children, so no division is needed.  The rank recursions read only
+    right children, so the left spine (nodes 1, 2, 4, ..., the largest
+    products) is left None unless spine is true.
+    """
+    n = len(a)
+    leaf = [ONE] * (n + 1)
+    s = 0
+    for p in range(n, 0, -1):
+        s += a[p - 1]
+        leaf[p] = mpz(comb(s, a[p - 1]))
+    tree = [None] * (4 * n)
+    _fill(tree, leaf, 1, 1, n, spine)
+    return tree
+
+
+def _fill(tree, leaf, x, i, j, need):
+    """Fill node x's subtree; node x's own product only when need is true."""
+    if i == j:
+        r = leaf[i]
+    else:
+        k = (i + j) // 2
+        right = _fill(tree, leaf, 2 * x + 1, k + 1, j, True)
+        left = _fill(tree, leaf, 2 * x, i, k, need)
+        r = left * right if need else None
+    tree[x] = r
+    return r
+
+
+def _compute_n(a, adj, bres, fen, tree, x, i, j, trace):
+    """Configuration count and l-product for left interval [i, j], node x.
 
     bres and fen hold the residual right degrees for the prefix before i;
     both are advanced to the state after j.  Returns (N_ij, l_ij).  When a
     trace list is given, (i, j, N_ij, l_ij, r_ij) is appended per interval.
     """
-    s_entry = fen.suffix_sum(1) if trace is not None else 0
     if i == j:
         z = ZERO
         l = ONE
         ai = a[i - 1]
         neigh = adj[i - 1]
         for k in range(ai):
-            y = compute_product(fen.suffix_sum(1 + neigh[k]), ai - k, 1)
+            w = neigh[k]
+            y = comb(fen.suffix_sum(1 + w), ai - k)
             if y:
-                y //= compute_product(ai - k, ai - k, 1)
                 z += l * y
-            l *= bres[neigh[k]]
-            fen.add(neigh[k], -1)
-            bres[neigh[k]] -= 1
+            l *= bres[w]
+            fen.add(w, -1)
+            bres[w] -= 1
         n_ij, l_ij = z, l
     else:
         k = (i + j) // 2
-        n_ik, l_ik = _compute_n(a, adj, bres, fen, i, k, trace)
-        s_k1 = fen.suffix_sum(1)
-        n_kj, l_kj = _compute_n(a, adj, bres, fen, k + 1, j, trace)
-        s_j1 = fen.suffix_sum(1)
-        r = compute_product(s_k1, s_k1 - s_j1, 1) // prod_factorial(a, k + 1, j)
-        n_ij = n_ik * r + l_ik * n_kj
+        n_ik, l_ik = _compute_n(a, adj, bres, fen, tree, 2 * x, i, k, trace)
+        n_kj, l_kj = _compute_n(a, adj, bres, fen, tree, 2 * x + 1, k + 1, j, trace)
+        n_ij = n_ik * tree[2 * x + 1] + l_ik * n_kj
         l_ij = l_ik * l_kj
     if trace is not None:
-        s_exit = fen.suffix_sum(1)
-        r_ij = compute_product(s_entry, s_entry - s_exit, 1) // prod_factorial(a, i, j)
-        trace.append((i, j, n_ij, l_ij, r_ij))
+        trace.append((i, j, n_ij, l_ij, tree[x]))
     return n_ij, l_ij
 
 
@@ -96,7 +129,8 @@ def b_configuration_count(inst: BipartiteInstance, trace=None):
     """N(G): configurations lexicographically below the graph's rows."""
     bres = [0] + [int(x) for x in inst.b]
     fen = SuffixFenwick(list(inst.b))
-    n, _ = _compute_n(inst.a, inst.adj, bres, fen, 1, inst.n_l, trace)
+    tree = ratio_tree(inst.a, spine=trace is not None)
+    n, _ = _compute_n(inst.a, inst.adj, bres, fen, tree, 1, 1, inst.n_l, trace)
     return n
 
 
@@ -106,7 +140,8 @@ def b_encode(inst: BipartiteInstance):
         return ZERO
     bres = [0] + [int(x) for x in inst.b]
     fen = SuffixFenwick(list(inst.b))
-    n, l = _compute_n(inst.a, inst.adj, bres, fen, 1, inst.n_l, None)
+    n, l = _compute_n(inst.a, inst.adj, bres, fen, ratio_tree(inst.a), 1,
+                      1, inst.n_l, None)
     # l equals prod(b_j!) once the whole interval is consumed.
     return ceil_div(n, l)
 
@@ -115,8 +150,8 @@ def _decode_node(a, bres, fen, i, n_r, ntilde):
     """Recover the neighbor list of left vertex i from its proxy count.
 
     Neighbor w is the smallest above the last one with
-    floor((S_{w+1})_q / q!) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a
-    threshold on S_{w+1} that one Fenwick descent locates.
+    C(S_{w+1}, q) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a threshold on
+    S_{w+1} that one Fenwick descent locates.
     """
     z_t = ntilde
     z = ZERO
@@ -128,12 +163,11 @@ def _decode_node(a, bres, fen, i, n_r, ntilde):
         if lo > n_r:
             raise ValueError(f"left vertex {i}: neighbor list runs past {n_r}")
         q = ai - k
-        qfact = compute_product(q, q, 1)
-        y = compute_product(fen.suffix_sum(1 + lo), q, 1) // qfact
+        y = comb(fen.suffix_sum(1 + lo), q)
         if y > z_t:
-            s_max = falling_threshold((z_t + 1) * qfact - 1, q)
+            s_max = falling_threshold((z_t + 1) * factorial(q) - 1, q)
             lo = fen.first_at_most(s_max) - 1  # in (lo, n_r]: S_{lo+1} > s_max
-            y = compute_product(fen.suffix_sum(1 + lo), q, 1) // qfact
+            y = comb(fen.suffix_sum(1 + lo), q)
         res = bres[lo]
         if not res:
             raise ValueError(f"left vertex {i}: right vertex {lo} has no half-edge left")
@@ -147,22 +181,17 @@ def _decode_node(a, bres, fen, i, n_r, ntilde):
     return z, neigh, l
 
 
-def _decode_interval(a, bres, fen, asuf, i, j, n_r, ntilde, out):
-    """Decode left vertices [i, j]; returns (N_ij, l_ij).
-
-    asuf[k] is the left degree sum from k on, which decoding never changes.
-    """
+def _decode_interval(a, bres, fen, tree, x, i, j, n_r, ntilde, out):
+    """Decode left vertices [i, j] at tree node x; returns (N_ij, l_ij)."""
     if i == j:
         n_ii, neigh, l = _decode_node(a, bres, fen, i, n_r, ntilde)
         out[i - 1] = tuple(neigh)
         return n_ii, l
     k = (i + j) // 2
-    s_k1 = asuf[k + 1]
-    s_j1 = asuf[j + 1]
-    r = compute_product(s_k1, s_k1 - s_j1, 1) // prod_factorial(a, k + 1, j)
-    n_ik, l_ik = _decode_interval(a, bres, fen, asuf, i, k, n_r, ntilde // r, out)
+    r = tree[2 * x + 1]
+    n_ik, l_ik = _decode_interval(a, bres, fen, tree, 2 * x, i, k, n_r, ntilde // r, out)
     nt_kj = (ntilde - n_ik * r) // l_ik
-    n_kj, l_kj = _decode_interval(a, bres, fen, asuf, k + 1, j, n_r, nt_kj, out)
+    n_kj, l_kj = _decode_interval(a, bres, fen, tree, 2 * x + 1, k + 1, j, n_r, nt_kj, out)
     return n_ik * r + l_ik * n_kj, l_ik * l_kj
 
 
@@ -180,11 +209,8 @@ def b_decode(f, a, b) -> tuple:
     ntilde = mpz(f) * prod_factorial(b, 1, n_r) if n_r else mpz(f)
     bres = [0] + [int(x) for x in b]
     fen = SuffixFenwick(list(b))
-    asuf = [0] * (n_l + 2)
-    for k in range(n_l, 0, -1):
-        asuf[k] = asuf[k + 1] + a[k - 1]
     out = [()] * n_l
-    _decode_interval(a, bres, fen, asuf, 1, n_l, n_r, ntilde, out)
+    _decode_interval(a, bres, fen, ratio_tree(a), 1, 1, n_l, n_r, ntilde, out)
     return tuple(out)
 
 

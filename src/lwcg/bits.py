@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 
-class TruncatedStreamError(Exception):
+class CodecError(ValueError):
+    """Compressed input is not a valid stream for this codec."""
+
+
+class TruncatedStreamError(CodecError):
     """Raised when a read runs past the end of the stream."""
 
 

@@ -3,12 +3,14 @@
 All results are arbitrary-precision integers.  When gmpy2 is available its
 mpz type is used internally (GMP has sub-quadratic multiplication and
 division, which the ranking codecs lean on for large graphs); plain Python
-ints are a correct fallback.
+ints are a correct fallback.  Unit-stride products go to `math.perm` and
+`math.comb`, and short strided runs to `math.prod`, so the interpreter
+loops only over the halving of long strided products.
 """
 
 from __future__ import annotations
 
-from math import perm
+from math import comb, perm, prod
 
 try:
     from gmpy2 import mpz
@@ -23,19 +25,25 @@ def compute_product(p: int, k: int, s: int):
     """Product of k terms p, p-s, p-2s, ... with empty/nonpositive guards.
 
     Returns 1 if k == 0, returns 0 if the last term p-(k-1)s is <= 0, and
-    otherwise the full product, computed by splitting the terms into two
-    halves (keeps intermediate factors balanced).
+    otherwise the full product: the falling factorial `math.perm(p, k)`
+    for s == 1, p**k for s == 0, and for wider strides two halves split
+    recursively (keeps intermediate factors balanced) down to runs of at
+    most 32 terms, which `math.prod` multiplies.
     """
     if k == 0:
         return ONE
     if p - (k - 1) * s <= 0:
         return ZERO
-    return _product_positive(mpz(p), k, s)
+    if s == 1:
+        return mpz(perm(p, k))
+    if s == 0:
+        return mpz(p) ** k
+    return _product_positive(int(p), k, s)
 
 
-def _product_positive(p, k: int, s: int):
-    if k == 1:
-        return p
+def _product_positive(p: int, k: int, s: int):
+    if k <= 32:
+        return mpz(prod(range(p, p - k * s, -s)))
     half = k // 2
     return _product_positive(p, half, s) * _product_positive(p - half * s, k - half, s)
 
@@ -66,10 +74,7 @@ def double_factorial_ratio(s_hi: int, s_lo: int):
 
 def binomial(n: int, m: int):
     """n choose m, zero when n < m."""
-    num = compute_product(n, m, 1)
-    if num == 0:
-        return num
-    return num // compute_product(m, m, 1)
+    return mpz(comb(n, m))
 
 
 def falling_threshold(z, q: int) -> int:
@@ -109,7 +114,59 @@ def _iroot(z, q: int):
 
 def ceil_div(a, b):
     """Exact ceiling of a / b for nonnegative a, positive b."""
-    q = a // b
-    if q * b < a:
-        q += 1
-    return q
+    q, r = floor_divmod(a, b)
+    return q + 1 if r else q
+
+
+# Bits of divisor or quotient below which the interpreter's own division
+# is faster than recursing.
+_DIV_CUTOFF = 4000
+
+
+def floor_divmod(a, b):
+    """divmod(a, b) for a >= 0 and b > 0.
+
+    CPython 3.11 divides in O(len(q) len(b)) steps.  Once both the divisor
+    and the quotient exceed the cutoff, this divides by recursive halving
+    instead (Burnikel and Ziegler, Fast Recursive Division, 1998): a long
+    division in base 2**len(b) whose digit steps split the divisor in two,
+    so the work goes into multiplications, which are sub-quadratic.  GMP
+    divides sub-quadratically itself, so mpz operands go to divmod.
+    """
+    n = b.bit_length()
+    if n <= _DIV_CUTOFF or a.bit_length() - n <= _DIV_CUTOFF or mpz is not int:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div_2n_1n((r << n) | ((a >> shift) & mask), b, n)
+        q = (q << n) | digit
+    return q, r
+
+
+def _div_2n_1n(a, b, n):
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2**n."""
+    if n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b_hi, b_lo = b >> half, b & mask
+    q_hi, r = _div_3n_2n(a >> n, (a >> half) & mask, b, b_hi, b_lo, half)
+    q_lo, r = _div_3n_2n(r, a & mask, b, b_hi, b_lo, half)
+    return (q_hi << half) | q_lo, r >> pad
+
+
+def _div_3n_2n(a12, a3, b, b_hi, b_lo, n):
+    """divmod(a12 * 2**n + a3, b) for b = b_hi * 2**n + b_lo, a12 < b * 2**n."""
+    if a12 >> n == b_hi:
+        q, r = (1 << n) - 1, a12 - (b_hi << n) + b_hi
+    else:
+        q, r = _div_2n_1n(a12, b_hi, n)
+    r = ((r << n) | a3) - q * b_lo
+    while r < 0:  # at most twice: the estimate q is at most 2 too high
+        q -= 1
+        r += b
+    return q, r

@@ -20,18 +20,14 @@ ED is the Elias delta code; width(x) = 1 + floor(log2(max(x, 1))).
 from __future__ import annotations
 
 from .bipartite import BipartiteInstance, b_decode, b_encode
-from .bits import BitReader, BitWriter, width
+from .bits import BitReader, BitWriter, CodecError, width
 from .edge_types import EdgeTypeTable, extract_types
-from .graph_model import EdgeListGraph, NeighborListGraph, preprocess
+from .graph_model import EdgeListGraph, GraphFormatError, NeighborListGraph, preprocess
 from .sequences import decode_sequence, encode_sequence
 from .simple_graph import SimpleInstance, s_decode, s_encode
 
 MAGIC = b"LWCG"
 VERSION = 1
-
-
-class CodecError(ValueError):
-    """Compressed input is not a valid stream for this codec."""
 
 
 def find_star_vertices(g: NeighborListGraph, table: EdgeTypeTable) -> list:
@@ -52,34 +48,37 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     For each (x, xp) in row-major order over the mark alphabet and each
     star vertex v increasing: a 1 bit plus the neighbor index for every
     incident star edge with marks (x, xp) whose far endpoint is above v,
-    then a closing 0 bit.
+    then a closing 0 bit.  One pass buckets the edges by mark pair; each
+    run of closing 0 bits is written as one field.
     """
     nbits = width(g.n)
+    flag = 1 << nbits
     is_star = table.t_is_star
+    star = [v for v in range(1, g.n + 1) if s[v]]
+    rows = {}  # (x, xp) -> [(position of v in star, far endpoint w), ...]
+    for pos, v in enumerate(star):
+        for (t, tp), w, x, xp in zip(table.c[v], g.gamma[v], g.x[v], g.xp[v]):
+            if w > v and (is_star[t] or is_star[tp]):
+                rows.setdefault((x, xp), []).append((pos, w))
     for x in range(1, g.sigma_e + 1):
         for xp in range(1, g.sigma_e + 1):
-            for v in range(1, g.n + 1):
-                if not s[v]:
-                    continue
-                row = table.c[v]
-                for i in range(g.deg[v]):
-                    t, tp = row[i]
-                    if (is_star[t] or is_star[tp]) and g.gamma[v][i] > v \
-                            and g.x[v][i] == x and g.xp[v][i] == xp:
-                        out.write_bit(1)
-                        out.write_fixed(g.gamma[v][i], nbits)
-                out.write_bit(0)
+            closed = 0  # star vertices whose closing 0 bit is written
+            for pos, w in rows.get((x, xp), ()):
+                if pos > closed:
+                    out.write_fixed(0, pos - closed)
+                    closed = pos
+                out.write_fixed(flag | w, nbits + 1)
+            out.write_fixed(0, len(star) - closed)
 
 
 def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
     """Inverse of encode_star_edges; returns (v, w, x, xp) records."""
     nbits = width(n)
+    star = [v for v in range(1, n + 1) if s[v]]
     edges = []
     for x in range(1, sigma_e + 1):
         for xp in range(1, sigma_e + 1):
-            for v in range(1, n + 1):
-                if not s[v]:
-                    continue
+            for v in star:
                 while reader.read_bit():
                     w = reader.read_fixed(nbits)
                     if not v < w <= n:
@@ -149,6 +148,10 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
         vid = reader.read_fixed(w_id)
         if not 1 <= vid <= count or sigs[vid] is not None:
             raise CodecError("bad vertex-type dictionary id")
+        if not sig or (len(sig) - 1) % 3:
+            raise CodecError("malformed vertex-type signature")
+        if not 1 <= sig[0] <= sigma_v:
+            raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
         sigs[vid] = sig
     y = decode_sequence(n, reader)
 
@@ -159,8 +162,6 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
         if not 1 <= vid <= count or sigs[vid] is None:
             raise CodecError("vertex type id out of range")
         sig = sigs[vid]
-        if not sig or (len(sig) - 1) % 3:
-            raise CodecError("malformed vertex-type signature")
         theta[v] = sig[0]
         prof = {}
         for k in range((len(sig) - 1) // 3):
@@ -321,10 +322,10 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     for _ in range(n_parts):
         i = reader.read_fixed(w_label)
         ip = reader.read_fixed(w_label)
+        if not 1 <= i <= ip <= tcount:
+            raise CodecError(f"partition key ({i},{ip}) out of order or range")
         if (i, ip) not in partition_deg or ((i < ip) and (ip, i) not in partition_deg):
             raise CodecError(f"partition key ({i},{ip}) has no degree data")
-        if i > ip:
-            raise CodecError(f"partition key ({i},{ip}) not in increasing order")
         f = reader.read_elias_delta() - 1
         if i == ip:
             ln = reader.read_elias_delta() - 1
@@ -350,5 +351,8 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
             for q in neigh:
                 edges.append((vp, back_b[q - 1], x, xp))
 
-    return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
-                         theta=tuple(theta[1:]), edges=tuple(edges))
+    try:
+        return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
+                             theta=tuple(theta[1:]), edges=tuple(edges))
+    except GraphFormatError as exc:
+        raise CodecError(f"decoded graph is invalid: {exc}") from exc

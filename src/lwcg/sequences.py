@@ -10,7 +10,7 @@ frequencies (offset by one, they may be zero), and the bipartite rank
 from __future__ import annotations
 
 from .bipartite import BipartiteInstance, b_decode, b_encode
-from .bits import BitReader, BitWriter
+from .bits import BitReader, BitWriter, CodecError
 
 
 def encode_sequence(y, out: BitWriter) -> None:
@@ -33,11 +33,17 @@ def encode_sequence(y, out: BitWriter) -> None:
 
 
 def decode_sequence(n: int, reader: BitReader) -> list:
-    """Read one encode_sequence payload of known length n."""
+    """Read one encode_sequence payload of known length n.
+
+    A payload that cannot be decoded raises CodecError.
+    """
     k = reader.read_elias_delta()
     if k > reader.remaining():  # each frequency costs at least one bit
-        raise ValueError(f"symbol bound {k} exceeds remaining stream")
+        raise CodecError(f"symbol bound {k} exceeds remaining stream")
     freq = [reader.read_elias_delta() - 1 for _ in range(k)]
     f = reader.read_elias_delta() - 1
-    adj = b_decode(f, (1,) * n, tuple(freq))
+    try:
+        adj = b_decode(f, (1,) * n, tuple(freq))
+    except ValueError as exc:
+        raise CodecError(f"sequence rank: {exc}") from exc
     return [neigh[0] - 1 for neigh in adj]

@@ -1,8 +1,9 @@
 """Rank/unrank simple unmarked graphs with a prescribed degree sequence.
 
 The rank f counts half-edge matchings whose adjacency vector precedes the
-graph's (upper-triangular, row-major), divided by prod(a_v!).  Alongside f
-the encoder emits a checkpoint array of residual half-edge totals at the
+graph's (upper-triangular, row-major), divided by prod(a_v!).  The encoder
+builds each interval ratio bottom-up as the product of its halves'.
+Alongside f it emits a checkpoint array of residual half-edge totals at the
 midpoints of large recursion intervals; the decoder needs those to split
 its proxy counts without re-walking the prefix.  Below the checkpoint
 threshold the decoder walks a chain of vertices one at a time, carrying
@@ -61,17 +62,21 @@ def checkpoint_len(pn: int) -> int:
 
 
 def _compute_n(a, fwd, ares, fen, i, j, index, cps, thr, trace):
-    """N and l for vertex interval [i, j]; fills checkpoints along the way.
+    """N, l and the interval ratio for vertex interval [i, j].
 
-    When a trace list is given, (i, j, N_ij, l_ij, r_ij) is appended per
-    interval visited.
+    The ratio is r_ij = (s_i - 1)!! / (s_{j+1} - 1)!!, s_i being the
+    half-edges left on entry to i.  A vertex with ahat forward edges
+    removes 2 ahat of them, so a leaf's ratio is the ahat-term stride-2
+    product from s_i - 1, and an internal node's is the product of its
+    children's.  Fills checkpoints along the way.  When a trace list is
+    given, (i, j, N_ij, l_ij, r_ij) is appended per interval visited.
     """
-    s_entry = fen.suffix_sum(i) if trace is not None else 0
     if i == j:
         z = ZERO
         l = ONE
         ahat = ares[i]
         neigh = fwd[i - 1]
+        r_ij = compute_product(fen.suffix_sum(i) - 1, ahat, 2)
         for k in range(ahat):
             w = neigh[k]
             y = compute_product(fen.suffix_sum(1 + w), ahat - k, 1)
@@ -84,20 +89,17 @@ def _compute_n(a, fwd, ares, fen, i, j, index, cps, thr, trace):
         n_ij, l_ij = z, l
     else:
         k = (i + j) // 2
-        n_ik, l_ik = _compute_n(a, fwd, ares, fen, i, k, 2 * index, cps, thr, trace)
-        s_k1 = fen.suffix_sum(k + 1)
+        n_ik, l_ik, r_ik = _compute_n(a, fwd, ares, fen, i, k, 2 * index, cps, thr, trace)
         if j - i + 1 > thr:
-            cps[index] = s_k1
-        n_kj, l_kj = _compute_n(a, fwd, ares, fen, k + 1, j, 2 * index + 1, cps, thr, trace)
-        s_j1 = fen.suffix_sum(j + 1)
-        r = compute_product(s_k1 - 1, (s_k1 - s_j1) // 2, 2)
-        n_ij = n_ik * r + l_ik * n_kj
+            cps[index] = fen.suffix_sum(k + 1)
+        n_kj, l_kj, r_kj = _compute_n(a, fwd, ares, fen, k + 1, j, 2 * index + 1,
+                                      cps, thr, trace)
+        n_ij = n_ik * r_kj + l_ik * n_kj
         l_ij = l_ik * l_kj
+        r_ij = r_ik * r_kj
     if trace is not None:
-        s_exit = fen.suffix_sum(j + 1)
-        r_ij = compute_product(s_entry - 1, (s_entry - s_exit) // 2, 2)
         trace.append((i, j, n_ij, l_ij, r_ij))
-    return n_ij, l_ij
+    return n_ij, l_ij, r_ij
 
 
 def s_configuration_count(inst: SimpleInstance, trace=None):
@@ -105,8 +107,8 @@ def s_configuration_count(inst: SimpleInstance, trace=None):
     ares = [0] + [int(x) for x in inst.a]
     fen = SuffixFenwick(list(inst.a))
     cps = [0] * (checkpoint_len(inst.pn) + 1)
-    n, _ = _compute_n(inst.a, inst.fwd, ares, fen, 1, inst.pn, 1,
-                      cps, split_threshold(inst.pn), trace)
+    n, _, _ = _compute_n(inst.a, inst.fwd, ares, fen, 1, inst.pn, 1,
+                         cps, split_threshold(inst.pn), trace)
     return n
 
 
@@ -116,8 +118,8 @@ def s_encode(inst: SimpleInstance):
     ares = [0] + [int(x) for x in inst.a]
     fen = SuffixFenwick(list(inst.a))
     cps = [0] * (checkpoint_len(pn) + 1)
-    n, l = _compute_n(inst.a, inst.fwd, ares, fen, 1, pn, 1,
-                      cps, split_threshold(pn), None)
+    n, l, _ = _compute_n(inst.a, inst.fwd, ares, fen, 1, pn, 1,
+                         cps, split_threshold(pn), None)
     return ceil_div(n, l), cps
 
 

@@ -9,6 +9,7 @@ from lwcg.bipartite import (
     b_count_oracle,
     b_decode,
     b_encode,
+    ratio_tree,
 )
 from lwcg.intmath import ceil_div, compute_product, prod_factorial
 
@@ -133,6 +134,32 @@ def test_interval_invariants():
         assert len(full) == 1
         expect_l = prod_factorial(inst.b, 1, inst.n_r) if inst.n_r else 1
         assert full[0][3] == expect_l
+
+
+def test_ratio_tree_matches_division():
+    # Every node over [i, j] holds (s_i)_{s_i - s_{j+1}} / prod(a_p!), with
+    # s_p the left degree sum from p on; without spine=True the internal
+    # nodes of the left spine are None.
+    rng = random.Random(26)
+    seqs = [tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(rng.randint(1, 40)))
+            for _ in range(60)]
+    seqs += [(1,) * length for length in (1, 2, 3, 17, 40)]
+    for a in seqs:
+        full, lean = ratio_tree(a, spine=True), ratio_tree(a)
+        suf = [0] * (len(a) + 2)
+        for p in range(len(a), 0, -1):
+            suf[p] = suf[p + 1] + a[p - 1]
+
+        def walk(x, i, j, on_spine):
+            s_i, s_j1 = suf[i], suf[j + 1]
+            assert full[x] == compute_product(s_i, s_i - s_j1, 1) // prod_factorial(a, i, j)
+            assert lean[x] == (None if on_spine and i < j else full[x])
+            if i < j:
+                k = (i + j) // 2
+                walk(2 * x, i, k, on_spine)
+                walk(2 * x + 1, k + 1, j, False)
+
+        walk(1, 1, len(a), True)
 
 
 def test_edgeless_instance():

@@ -9,6 +9,7 @@ from lwcg.intmath import (
     compute_product,
     double_factorial_ratio,
     falling_threshold,
+    floor_divmod,
     prod_factorial,
 )
 
@@ -21,11 +22,13 @@ def test_compute_product_examples():
 
 
 def test_compute_product_vs_naive():
+    # Strides 0..4 and up to 80 terms reach every path: math.perm (s == 1),
+    # p ** k (s == 0), one math.prod run (k <= 32) and the split above it.
     rng = random.Random(1)
-    for _ in range(500):
-        p = rng.randint(0, 60)
-        k = rng.randint(0, 12)
-        s = rng.randint(0, 4)
+    for t in range(1000):
+        s = t % 5
+        k = rng.randint(0, 80)
+        p = rng.randint(0, 60) if t % 2 else rng.randint(s * k, s * k + 60)
         naive = 1
         for kp in range(k):
             naive *= max(p - kp * s, 0)
@@ -137,3 +140,19 @@ def test_falling_threshold_beyond_float_range():
             assert falling_threshold(p, q) == s
             t = falling_threshold(p + 1, q)
             assert math.perm(t, q) <= p + 1 < math.perm(t + 1, q)
+
+
+def test_floor_divmod_vs_builtin():
+    # Past the cutoff in divisor and quotient the division recurses; odd
+    # widths exercise the padding, equal tops the 2**n - 1 estimate.
+    rng = random.Random(9)
+    cases = [(0, 1), (5, 7), (2 ** 20000 - 1, 2 ** 9000 - 1), (2 ** 20000, 2 ** 9000 + 1)]
+    for _ in range(40):
+        nb = rng.randint(1, 30000)
+        b = rng.getrandbits(nb) | 1 << (nb - 1)
+        cases.append((rng.getrandbits(rng.randint(1, 70000)), b))
+        top = b << rng.randint(0, 40000)
+        cases.append((top - rng.randrange(b), b))
+    for a, b in cases:
+        assert floor_divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
+        assert ceil_div(a, b) == -(-a // b)

@@ -336,8 +336,8 @@ def test_unsupported_version_rejected(fig_graph):
 
 
 def test_corrupted_streams_never_return_silently_wrong_header(fig_graph):
-    # Bit flips anywhere must either raise or still produce some graph
-    # object; truncations must raise.
+    # Bit flips anywhere must either raise CodecError or still produce some
+    # graph object; truncations must raise CodecError.
     rng = random.Random(57)
     data = encode_marked_graph(fig_graph, 2, 4)
     for _ in range(200):
@@ -346,11 +346,32 @@ def test_corrupted_streams_never_return_silently_wrong_header(fig_graph):
         mutated[pos // 8] ^= 1 << (7 - pos % 8)
         try:
             decode_marked_graph(bytes(mutated))
-        except Exception:
+        except CodecError:
             pass
     for cut in range(0, len(data), 7):
-        with pytest.raises(Exception):
+        with pytest.raises(CodecError):
             decode_marked_graph(data[:cut])
+
+
+@pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
+def test_corrupted_synthetic_streams_raise_only_codec_error(h, delta):
+    # Bit flips and truncations of a larger stream reach the sequence codec,
+    # the vertex-type dictionary and the final graph check: whatever fails
+    # must fail as CodecError.
+    rng = random.Random(58)
+    data = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
+    for t in range(200):
+        mutated = bytearray(data)
+        if t % 2:
+            del mutated[rng.randrange(len(mutated)):]
+        else:
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(len(mutated) * 8)
+                mutated[pos // 8] ^= 1 << (7 - pos % 8)
+        try:
+            decode_marked_graph(bytes(mutated))
+        except CodecError:
+            pass
 
 
 def test_roundtrip_random_parameters():

@@ -82,3 +82,28 @@ def test_rank_respects_frequency_bound():
         f = r.read_elias_delta() - 1
         bound = ceil_div(compute_product(n, n, 1), prod_factorial(freq, 1, k))
         assert 0 <= f <= bound
+
+
+def test_prod_factorial_calls_stay_linear_in_symbols(monkeypatch):
+    # Interval ratios come from a product tree, so ranking a length-4000
+    # sequence calls prod_factorial not at all, and unranking only for the
+    # one product of symbol-frequency factorials (2 K - 1 calls with its
+    # recursion, K the symbol count).
+    import lwcg.bipartite as bipartite
+    import lwcg.intmath as intmath
+    calls = []
+    original = intmath.prod_factorial
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(intmath, "prod_factorial", counted)
+    monkeypatch.setattr(bipartite, "prod_factorial", counted)
+    rng = random.Random(43)
+    y = [rng.randrange(10) for _ in range(4000)]
+    w = BitWriter()
+    encode_sequence(y, w)
+    assert calls == []
+    assert decode_sequence(len(y), BitReader(w.to_bytes())) == y
+    assert 1 <= len(calls) <= 2 * 10 - 1

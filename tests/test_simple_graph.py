@@ -169,6 +169,8 @@ def test_interval_invariants():
             assert n_ij + l_ij <= r_ij, (inst, i, j)
         full = [t for t in trace if t[0] == 1 and t[1] == inst.pn]
         assert full[0][3] == prod_factorial(inst.a, 1, inst.pn)
+        # The ratio carried up to the root matches all S half-edges.
+        assert full[0][4] == double_factorial_ratio(sum(inst.a), 0)
 
 
 def test_s_values_follow_residual_identity():

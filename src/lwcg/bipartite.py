@@ -17,8 +17,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from .fenwick import SuffixFenwick
-from .intmath import (ONE, ZERO, ceil_div, compute_product, falling_threshold, mpz,
-                      prod_factorial)
+from .intmath import (ONE, WIDE_SPAN, ZERO, ceil_div, compute_product, falling_threshold,
+                      mpz, mul, prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,12 @@ def _fill(tree, leaf, x, i, j, need):
         k = (i + j) // 2
         right = _fill(tree, leaf, 2 * x + 1, k + 1, j, True)
         left = _fill(tree, leaf, 2 * x, i, k, need)
-        r = left * right if need else None
+        if not need:
+            r = None
+        elif j - i < WIDE_SPAN:
+            r = left * right
+        else:
+            r = mul(left, right)
     tree[x] = r
     return r
 
@@ -118,8 +123,13 @@ def _compute_n(a, adj, bres, fen, tree, x, i, j, trace):
         k = (i + j) // 2
         n_ik, l_ik = _compute_n(a, adj, bres, fen, tree, 2 * x, i, k, trace)
         n_kj, l_kj = _compute_n(a, adj, bres, fen, tree, 2 * x + 1, k + 1, j, trace)
-        n_ij = n_ik * tree[2 * x + 1] + l_ik * n_kj
-        l_ij = l_ik * l_kj
+        r = tree[2 * x + 1]
+        if j - i < WIDE_SPAN:
+            n_ij = n_ik * r + l_ik * n_kj
+            l_ij = l_ik * l_kj
+        else:
+            n_ij = mul(n_ik, r) + mul(l_ik, n_kj)
+            l_ij = mul(l_ik, l_kj)
     if trace is not None:
         trace.append((i, j, n_ij, l_ij, tree[x]))
     return n_ij, l_ij
@@ -134,14 +144,18 @@ def b_configuration_count(inst: BipartiteInstance, trace=None):
     return n
 
 
-def b_encode(inst: BipartiteInstance):
-    """Rank of the bipartite graph: ceil(N / prod of right factorials)."""
+def b_encode(inst: BipartiteInstance, tree=None):
+    """Rank of the bipartite graph: ceil(N / prod of right factorials).
+
+    tree, if given, is ratio_tree(inst.a), built once by the caller.
+    """
     if inst.n_l == 0:
         return ZERO
     bres = [0] + [int(x) for x in inst.b]
     fen = SuffixFenwick(list(inst.b))
-    n, l = _compute_n(inst.a, inst.adj, bres, fen, ratio_tree(inst.a), 1,
-                      1, inst.n_l, None)
+    if tree is None:
+        tree = ratio_tree(inst.a)
+    n, l = _compute_n(inst.a, inst.adj, bres, fen, tree, 1, 1, inst.n_l, None)
     # l equals prod(b_j!) once the whole interval is consumed.
     return ceil_div(n, l)
 
@@ -195,11 +209,12 @@ def _decode_interval(a, bres, fen, tree, x, i, j, n_r, ntilde, out):
     return n_ik * r + l_ik * n_kj, l_ik * l_kj
 
 
-def b_decode(f, a, b) -> tuple:
+def b_decode(f, a, b, tree=None) -> tuple:
     """Inverse of b_encode given the two degree sequences.
 
     Inconsistent degree sums are rejected.  A rank that is out of range
     either raises ValueError or decodes to some graph with these degrees.
+    tree, if given, is ratio_tree(a), built once by the caller.
     """
     if sum(a) != sum(b):
         raise ValueError("degree sums differ between sides")
@@ -210,7 +225,9 @@ def b_decode(f, a, b) -> tuple:
     bres = [0] + [int(x) for x in b]
     fen = SuffixFenwick(list(b))
     out = [()] * n_l
-    _decode_interval(a, bres, fen, ratio_tree(a), 1, 1, n_l, n_r, ntilde, out)
+    if tree is None:
+        tree = ratio_tree(a)
+    _decode_interval(a, bres, fen, tree, 1, 1, n_l, n_r, ntilde, out)
     return tuple(out)
 
 

@@ -12,6 +12,9 @@ either endpoint degree exceeds delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .graph_model import NeighborListGraph
 
@@ -66,20 +69,33 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
     """Label all directed edges of g with h-1 message rounds, cap delta."""
     if h < 1 or delta < 1:
         raise ValueError("need h >= 1 and delta >= 1")
+    if h == 1:
+        return _extract_depth_one(g, delta)
+    return _extract_by_rounds(g, h, delta)
+
+
+def _extract_by_rounds(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
+    """extract_types by explicit message passing, one vertex at a time."""
     n = g.n
     deg, gamma, gammat, x = g.deg, g.gamma, g.gammat, g.x
     theta = g.theta
 
     state = _LabelState()
     # Round 0: the message toward each neighbor is just (own mark, 0, edge
-    # mark toward self).
+    # mark toward self), so its label is looked up by the two marks.
     t_cur = [None] * (n + 1)
+    by_marks = {}  # vertex mark -> {edge mark: label}
     for v in range(1, n + 1):
-        row = []
-        xv = x[v]
         th = theta[v]
-        for i in range(deg[v]):
-            row.append(state.send((th, 0, xv[i])))
+        known = by_marks.get(th)
+        if known is None:
+            known = by_marks[th] = {}
+        row = []
+        for xi in x[v]:
+            label = known.get(xi)
+            if label is None:
+                label = known[xi] = state.send((th, 0, xi))
+            row.append(label)
         t_cur[v] = row
 
     for _ in range(1, h):
@@ -161,6 +177,62 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
         t_mark=tuple(state.mark),
         c=tuple(c),
     )
+
+
+def _extract_depth_one(g: NeighborListGraph, delta: int) -> EdgeTypeTable:
+    """extract_types for h = 1, on flat arrays of the directed edges.
+
+    With no message rounds a side's label is its round-0 message (own
+    mark, 0, edge mark toward self), which is never a star, so the
+    symmetrization stars exactly the edges with an endpoint of degree
+    above delta.  Labels are numbered in first-seen order over the edges
+    in (vertex, neighbor) order, round-0 messages first and then the star
+    messages (0, edge mark), as the general loop numbers them.
+    """
+    n = g.n
+    deg = np.array(g.deg, dtype=np.int64)
+    start = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(deg, out=start[1:])
+    total = int(start[-1])
+
+    def flat(rows):
+        return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+
+    nbr = flat(g.gamma)
+    mirror = start[nbr] + flat(g.gammat) - 1  # slot of the reverse edge
+    mark = flat(g.x)
+    own_mark = np.repeat(np.array(g.theta, dtype=np.int64), deg)
+
+    def first_seen(keys):
+        """Distinct keys in order of first appearance, and each key's rank."""
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[order] = np.arange(len(uniq))
+        return uniq[order], rank[inverse.reshape(-1)]
+
+    base = int(mark.max()) + 1 if total else 1
+    messages, label = first_seen(own_mark * base + mark)
+    label += 1
+    is_star = [0] + [0] * len(messages)
+    t_mark = [0] + (messages % base).tolist()
+
+    big = deg > delta
+    star = big[np.repeat(np.arange(n + 1), deg)] | big[nbr]
+    star_marks, star_rank = first_seen(mark[star])
+    label[star] = 1 + len(messages) + star_rank
+    is_star += [1] * len(star_marks)
+    t_mark += star_marks.tolist()
+    tcount = len(is_star) - 1
+
+    # c pairs each side's label with the mirror side's; equal pairs share
+    # one tuple.
+    pair_keys, pair_of = np.unique(label * (tcount + 1) + label[mirror], return_inverse=True)
+    pairs = [divmod(k, tcount + 1) for k in pair_keys.tolist()]
+    flat_pairs = [pairs[k] for k in pair_of.reshape(-1).tolist()]
+    bounds = start.tolist()
+    c = ((),) + tuple(tuple(flat_pairs[bounds[v]:bounds[v + 1]]) for v in range(1, n + 1))
+    return EdgeTypeTable(tcount=tcount, t_is_star=tuple(is_star), t_mark=tuple(t_mark), c=c)
 
 
 @dataclass(frozen=True)

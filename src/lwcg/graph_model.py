@@ -8,6 +8,9 @@ record (v, w, x, xp) holds the mark x pointing toward v and xp toward w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -167,42 +170,42 @@ def format_edge_list(g: EdgeListGraph) -> str:
 
 
 def preprocess(g: EdgeListGraph) -> NeighborListGraph:
-    """Convert to neighbor lists: orient records v < w, sort, then build.
+    """Convert to neighbor lists sorted by neighbor.
 
-    Sorting the oriented records lexicographically makes every neighbor
-    list come out increasing and the whole construction orientation-free.
+    Each record gives two half-edges, one per endpoint; sorting them by
+    (owner, neighbor) lays out every neighbor list increasing, so the
+    result does not depend on record order or orientation.  gammat of a
+    half-edge is one plus the rank of its reverse within the neighbor's
+    list.  The sort and the rank bookkeeping run on flat arrays, and each
+    per-vertex tuple is one slice of them.
     """
-    records = []
-    for v, w, x, xp in g.edges:
-        if v > w:
-            v, w, x, xp = w, v, xp, x
-        records.append((v, w, x, xp))
-    records.sort()
+    n, m = g.n, len(g.edges)
+    rec = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=4 * m).reshape(m, 4)
+    v, w, x, xp = rec.T
+    own = np.concatenate((v, w))
+    nbr = np.concatenate((w, v))
+    order = np.lexsort((nbr, own))
+    deg = np.bincount(own, minlength=n + 1)
+    start = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(deg, out=start[1:])
+    slot = np.empty(2 * m, dtype=np.int64)  # sorted position of each half-edge
+    slot[order] = np.arange(2 * m)
+    rank = slot - start[own]
+    mirror_rank = np.concatenate((rank[m:], rank[:m]))
+    bounds = start.tolist()
+    vertex = list(range(n + 1))  # one int object per vertex id, shared
 
-    n = g.n
-    deg = [0] * (n + 1)
-    gamma = [[] for _ in range(n + 1)]
-    gammat = [[] for _ in range(n + 1)]
-    xs = [[] for _ in range(n + 1)]
-    xps = [[] for _ in range(n + 1)]
-    for v, w, x, xp in records:
-        gamma[v].append(w)
-        xs[v].append(x)
-        xps[v].append(xp)
-        gammat[v].append(1 + deg[w])
-        gamma[w].append(v)
-        xs[w].append(xp)
-        xps[w].append(x)
-        gammat[w].append(1 + deg[v])
-        deg[v] += 1
-        deg[w] += 1
+    def per_vertex(values, shared=None) -> tuple:
+        flat = values[order].tolist()
+        if shared is not None:
+            flat = list(map(shared.__getitem__, flat))
+        return ((),) + tuple(tuple(flat[bounds[u]:bounds[u + 1]]) for u in range(1, n + 1))
 
-    theta = (0,) + tuple(g.theta)
     return NeighborListGraph(
-        n=n, sigma_v=g.sigma_v, sigma_e=g.sigma_e, theta=theta,
-        deg=tuple(deg),
-        gamma=tuple(tuple(t) for t in gamma),
-        gammat=tuple(tuple(t) for t in gammat),
-        x=tuple(tuple(t) for t in xs),
-        xp=tuple(tuple(t) for t in xps),
+        n=n, sigma_v=g.sigma_v, sigma_e=g.sigma_e, theta=(0,) + tuple(g.theta),
+        deg=tuple(deg.tolist()),
+        gamma=per_vertex(nbr, vertex),
+        gammat=per_vertex(mirror_rank + 1),
+        x=per_vertex(np.concatenate((x, xp))),
+        xp=per_vertex(np.concatenate((xp, x))),
     )

@@ -19,6 +19,9 @@ ED is the Elias delta code; width(x) = 1 + floor(log2(max(x, 1))).
 
 from __future__ import annotations
 
+import functools
+import gc
+
 from .bipartite import BipartiteInstance, b_decode, b_encode
 from .bits import BitReader, BitWriter, CodecError, width
 from .edge_types import EdgeTypeTable, extract_types
@@ -100,12 +103,14 @@ def find_deg(g: NeighborListGraph, table: EdgeTypeTable) -> list:
     return deg
 
 
-def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: BitWriter) -> None:
+def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: BitWriter,
+                        trees=None) -> None:
     """Joint coding of vertex marks and degree profiles.
 
     Each vertex gets a flat signature (mark, then sorted (label, label,
     count) triples); distinct signatures go into a dictionary written
-    up front, and the per-vertex ids are handed to the sequence codec.
+    up front, and the per-vertex ids are handed to the sequence codec
+    (trees as in encode_sequence).
     """
     dictionary = {}
     y = [0] * n
@@ -132,10 +137,10 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
         for elem in sig:
             out.write_fixed(elem, w_elem)
         out.write_fixed(dictionary[sig], w_id)
-    encode_sequence(y, out)
+    encode_sequence(y, out, trees)
 
 
-def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
+def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount, trees=None):
     """Inverse of encode_vertex_types; returns (theta, deg), both 1-based."""
     w_size = width(1 + 3 * delta)
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
@@ -153,7 +158,7 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
         if not 1 <= sig[0] <= sigma_v:
             raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
         sigs[vid] = sig
-    y = decode_sequence(n, reader)
+    y = decode_sequence(n, reader, trees)
 
     theta = [0] * (n + 1)
     deg = [None] * (n + 1)
@@ -197,20 +202,16 @@ def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, deg):
         if key[0] <= key[1]:
             partition_adj[key] = [[] for _ in range(len(arr))]
 
+    # Each edge is listed once, from the endpoint on the i side of its key
+    # (i, i'), i <= i'; within a simple partition graph (i == i') ranks
+    # follow vertex order, so the lower endpoint lists it.
     is_star = table.t_is_star
     for v in range(1, g.n + 1):
-        row = table.c[v]
-        for k in range(g.deg[v]):
-            i, ip = row[k]
-            if is_star[i] or is_star[ip]:
+        index_v = partition_index[v]
+        for (i, ip), w in zip(table.c[v], g.gamma[v]):
+            if i > ip or (i == ip and w < v) or is_star[i] or is_star[ip]:
                 continue
-            w = g.gamma[v][k]
-            p = partition_index[v][(i, ip)]
-            q = partition_index[w][(ip, i)]
-            if i < ip:
-                partition_adj[(i, ip)][p - 1].append(q)
-            elif i == ip and q > p:
-                partition_adj[(i, i)][p - 1].append(q)
+            partition_adj[(i, ip)][index_v[(i, ip)] - 1].append(partition_index[w][(ip, i)])
     return partition_deg, partition_adj, partition_index
 
 
@@ -229,6 +230,29 @@ def decode_partition_structures(deg, n):
     return partition_deg, original_index
 
 
+def _cycle_collector_paused(fn):
+    """Run fn with the cyclic garbage collector switched off.
+
+    A codec call allocates millions of tuples, lists and big ints but no
+    reference cycles, so reference counting frees all of it.  Left on, the
+    collector's full passes re-walk every live container, the growing
+    neighbor lists included: 0.8 s of an 8.7 s encode at n=1e5, against
+    0.03 s at n=1e4 (CPython 3.11, 2-core host).  The previous state is
+    restored on exit.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_cycle_collector_paused
 def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     """Compress a marked graph to bytes; lossless up to edge-record order."""
     if h < 1 or delta < 1:
@@ -253,16 +277,20 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
         out.write_fixed(table.t_mark[i], w_mark)
 
     s = find_star_vertices(nl, table)
-    encode_sequence(s[1:], out)
+    trees = {}  # the two length-n sequences share one ratio tree
+    encode_sequence(s[1:], out, trees)
     encode_star_edges(nl, table, s, out)
 
     deg = find_deg(nl, table)
     encode_vertex_types(deg, nl.theta, g.n, delta, g.sigma_e, g.sigma_v,
-                        table.tcount, out)
+                        table.tcount, out, trees)
 
-    partition_deg, partition_adj, _ = find_partition_graphs(nl, table, deg)
-    out.write_elias_delta(1 + len(partition_adj))
+    partition_deg, partition_adj = find_partition_graphs(nl, table, deg)[:2]
     w_label = width(table.tcount)
+    # The ranks need only the partition graphs; drop the per-vertex tables
+    # so the big-int work below runs in a smaller heap.
+    del nl, table, deg, s, trees
+    out.write_elias_delta(1 + len(partition_adj))
     for key in sorted(partition_adj):
         i, ip = key
         out.write_fixed(i, w_label)
@@ -283,6 +311,7 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     return out.to_bytes()
 
 
+@_cycle_collector_paused
 def decode_marked_graph(data: bytes) -> EdgeListGraph:
     """Inverse of encode_marked_graph (canonical edge order may differ)."""
     reader = BitReader(data)
@@ -309,12 +338,14 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
         t_is_star[i] = reader.read_bit()
         t_mark[i] = reader.read_fixed(w_mark)
 
-    s = [0] + decode_sequence(n, reader)
+    trees = {}
+    s = [0] + decode_sequence(n, reader, trees)
     if any(bit not in (0, 1) for bit in s):
         raise CodecError("star bitmap is not binary")
     edges = decode_star_edges(reader, s, n, sigma_e)
 
-    theta, deg = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
+    theta, deg = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount, trees)
+    del trees
     partition_deg, original_index = decode_partition_structures(deg, n)
 
     n_parts = reader.read_elias_delta() - 1

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .fenwick import SuffixFenwick
-from .intmath import (ONE, ZERO, ceil_div, compute_product, falling_threshold, mpz,
-                      prod_factorial)
+from .intmath import (ONE, WIDE_SPAN, ZERO, ceil_div, compute_product, falling_threshold,
+                      mpz, mul, prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,14 @@ def _compute_n(a, fwd, ares, fen, i, j, index, cps, thr, trace):
             cps[index] = fen.suffix_sum(k + 1)
         n_kj, l_kj, r_kj = _compute_n(a, fwd, ares, fen, k + 1, j, 2 * index + 1,
                                       cps, thr, trace)
-        n_ij = n_ik * r_kj + l_ik * n_kj
-        l_ij = l_ik * l_kj
-        r_ij = r_ik * r_kj
+        if j - i < WIDE_SPAN:
+            n_ij = n_ik * r_kj + l_ik * n_kj
+            l_ij = l_ik * l_kj
+            r_ij = r_ik * r_kj
+        else:
+            n_ij = mul(n_ik, r_kj) + mul(l_ik, n_kj)
+            l_ij = mul(l_ik, l_kj)
+            r_ij = mul(r_ik, r_kj)
     if trace is not None:
         trace.append((i, j, n_ij, l_ij, r_ij))
     return n_ij, l_ij, r_ij

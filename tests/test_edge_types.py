@@ -3,6 +3,8 @@ import random
 from conftest import random_marked_graph
 from lwcg.edge_types import (
     MarkedTree,
+    _extract_by_rounds,
+    _extract_depth_one,
     extract_types,
     lambda_canonical,
     oracle_directed_type,
@@ -156,3 +158,21 @@ def test_tcount_bound():
         assert table.tcount <= 4 * max(g.m, 0) + (0 if g.m else 0)
         if g.m == 0:
             assert table.tcount == 0
+
+
+def test_depth_one_matches_message_passing():
+    # The flat h = 1 path must reproduce the message-passing labels
+    # exactly, numbering included: the codec writes them.
+    rng = random.Random(21)
+    for trial in range(200):
+        n = rng.randint(1, 25)
+        g = random_marked_graph(rng, n, rng.random() * rng.random(),
+                                rng.randint(1, 4), rng.randint(1, 3))
+        if trial % 10 == 0 and n > 2:  # a hub far above delta
+            hub = [(1, w, rng.randint(1, g.sigma_e), rng.randint(1, g.sigma_e))
+                   for w in range(2, n + 1)]
+            g = EdgeListGraph(n=n, sigma_v=g.sigma_v, sigma_e=g.sigma_e,
+                              theta=g.theta, edges=tuple(hub))
+        nl = preprocess(g)
+        delta = rng.randint(1, 6)
+        assert _extract_depth_one(nl, delta) == _extract_by_rounds(nl, 1, delta), trial

@@ -62,6 +62,19 @@ def test_preprocess_sample_vertex_5(fig_graph):
     assert nl.gammat[5] == (4, 1, 1)
 
 
+def test_preprocess_edgeless_and_plain_ints():
+    g = EdgeListGraph(n=3, sigma_v=2, sigma_e=1, theta=(2, 1, 2), edges=())
+    nl = preprocess(g)
+    assert nl.deg == (0, 0, 0, 0)
+    assert nl.gamma == nl.gammat == nl.x == nl.xp == ((),) * 4
+    assert nl.theta == (0, 2, 1, 2)
+    rng = random.Random(5)
+    nl = preprocess(random_marked_graph(rng, 15, 0.4, 2, 2))
+    for rows in (nl.gamma, nl.gammat, nl.x, nl.xp):
+        assert all(type(e) is int for row in rows for e in row)
+    assert all(type(d) is int for d in nl.deg)
+
+
 def test_preprocess_orientation_free():
     a = EdgeListGraph(n=2, sigma_v=1, sigma_e=2, theta=(1, 1),
                       edges=((1, 2, 1, 2),))

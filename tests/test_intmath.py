@@ -10,8 +10,10 @@ from lwcg.intmath import (
     double_factorial_ratio,
     falling_threshold,
     floor_divmod,
+    mul,
     prod_factorial,
 )
+from lwcg.intmath import _fft_mul
 
 
 def test_compute_product_examples():
@@ -156,3 +158,41 @@ def test_floor_divmod_vs_builtin():
     for a, b in cases:
         assert floor_divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
         assert ceil_div(a, b) == -(-a // b)
+
+
+def test_mul_vs_builtin():
+    # Below the cutoff, lopsided, random and all-ones factors, and all-ones
+    # factors large enough that 16-bit digits round too coarsely.
+    rng = random.Random(10)
+    cases = [(0, 2 ** 50000), (1, 2 ** 50000 + 1), (3, 5), (2 ** 39999, 2 ** 39999)]
+    for bits in (40_000, 45_000, 120_000, 700_000):
+        cases.append((rng.getrandbits(bits), rng.getrandbits(bits)))
+        cases.append((rng.getrandbits(bits), rng.getrandbits(3 * bits)))
+        cases.append((2 ** bits - 1, 2 ** bits - 1))
+    cases.append((2 ** 2_500_000 - 1, 2 ** 2_500_000 - 1))
+    for a, b in cases:
+        assert mul(a, b) == a * b, (a.bit_length(), b.bit_length())
+
+
+def test_mul_rejects_unsafe_or_wrong_products(monkeypatch):
+    import lwcg.intmath as im
+
+    a, b = 3 ** 60000, 7 ** 40000
+    calls = []
+
+    def off_by_one_at_16(x, y, digit):
+        calls.append(digit)
+        return x * y + (digit == 16)
+
+    monkeypatch.setattr(im, "_fft_mul", off_by_one_at_16)
+    assert mul(a, b) == a * b and calls == [16, 8]
+    monkeypatch.setattr(im, "_fft_mul", lambda x, y, digit: None)
+    assert mul(a, b) == a * b
+
+
+def test_fft_digit_sizes_agree():
+    rng = random.Random(12)
+    for _ in range(5):
+        a = rng.getrandbits(rng.randint(50_000, 200_000))
+        b = rng.getrandbits(rng.randint(50_000, 200_000))
+        assert _fft_mul(a, b, 16) == _fft_mul(a, b, 8) == a * b

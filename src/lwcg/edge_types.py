@@ -7,6 +7,11 @@ delta: any neighborhood that exceeds the cap collapses to a degenerate
 "star" label that only remembers the edge mark.  A final symmetrization
 pass forces both sides of an edge to star when either side is starred or
 either endpoint degree exceeds delta.
+
+One path serves every h.  The directed edges live in flat arrays in
+(vertex, neighbor) order; round 0, the symmetrization and the label pairs
+are numpy passes over them, and each message round is one loop over the
+vertices that reads the labels coming back along the reverse edges.
 """
 
 from __future__ import annotations
@@ -65,131 +70,26 @@ class _LabelState:
         return label
 
 
+def _first_seen(keys):
+    """Distinct keys in order of first appearance, and each key's rank."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    return uniq[order], rank[inverse.reshape(-1)]
+
+
 def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
-    """Label all directed edges of g with h-1 message rounds, cap delta."""
+    """Label all directed edges of g with h-1 message rounds, cap delta.
+
+    The directed edges are numbered in (vertex, neighbor) order and every
+    per-edge quantity is one flat array over them; label[e] is the current
+    label of side e and label[mirror[e]] the one its neighbor sends back.
+    Labels are numbered in first-seen order over that traversal.
+    """
     if h < 1 or delta < 1:
         raise ValueError("need h >= 1 and delta >= 1")
-    if h == 1:
-        return _extract_depth_one(g, delta)
-    return _extract_by_rounds(g, h, delta)
-
-
-def _extract_by_rounds(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
-    """extract_types by explicit message passing, one vertex at a time."""
-    n = g.n
-    deg, gamma, gammat, x = g.deg, g.gamma, g.gammat, g.x
-    theta = g.theta
-
-    state = _LabelState()
-    # Round 0: the message toward each neighbor is just (own mark, 0, edge
-    # mark toward self), so its label is looked up by the two marks.
-    t_cur = [None] * (n + 1)
-    by_marks = {}  # vertex mark -> {edge mark: label}
-    for v in range(1, n + 1):
-        th = theta[v]
-        known = by_marks.get(th)
-        if known is None:
-            known = by_marks[th] = {}
-        row = []
-        for xi in x[v]:
-            label = known.get(xi)
-            if label is None:
-                label = known[xi] = state.send((th, 0, xi))
-            row.append(label)
-        t_cur[v] = row
-
-    for _ in range(1, h):
-        is_star_old = state.is_star
-        t_old = t_cur
-        state = _LabelState()
-        t_cur = [None] * (n + 1)
-        for v in range(1, n + 1):
-            d = deg[v]
-            row = [0] * d
-            t_cur[v] = row
-            xv = x[v]
-            gv = gamma[v]
-            gtv = gammat[v]
-            if d > delta:
-                for i in range(d):
-                    row[i] = state.send((0, xv[i]))
-                continue
-            # Collect last round's inbound messages paired with the mark
-            # toward v; count how many of them are stars.
-            s = [None] * d
-            n_star = 0
-            i_star = -1
-            for i in range(d):
-                inbound = t_old[gv[i]][gtv[i] - 1]
-                s[i] = (inbound, xv[i])
-                if is_star_old[inbound]:
-                    n_star += 1
-                    i_star = i
-            if n_star >= 2:
-                for i in range(d):
-                    row[i] = state.send((0, xv[i]))
-            elif n_star == 1:
-                # Everyone except the star sender gets a star back; the
-                # star sender receives the aggregate of the others.
-                order = sorted(range(d), key=lambda j: s[j])
-                t = [theta[v], d - 1]
-                for j in order:
-                    if j != i_star:
-                        t.extend(s[j])
-                        row[j] = state.send((0, xv[j]))
-                t.append(xv[i_star])
-                row[i_star] = state.send(tuple(t))
-            else:
-                order = sorted(range(d), key=lambda j: s[j])
-                for i in range(d):
-                    t = [theta[v], d - 1]
-                    for j in order:
-                        if j != i:
-                            t.extend(s[j])
-                    t.append(xv[i])
-                    row[i] = state.send(tuple(t))
-
-    # Symmetrization: if the mirror side is a star, or either endpoint
-    # degree exceeds delta, this side must be a star too.
-    for v in range(1, n + 1):
-        row = t_cur[v]
-        xv = x[v]
-        gv = gamma[v]
-        gtv = gammat[v]
-        dv_big = deg[v] > delta
-        for i in range(deg[v]):
-            if state.is_star[row[i]]:
-                continue
-            w = gv[i]
-            if state.is_star[t_cur[w][gtv[i] - 1]] or dv_big or deg[w] > delta:
-                row[i] = state.send((0, xv[i]))
-
-    c = [()] * (n + 1)
-    for v in range(1, n + 1):
-        gv = gamma[v]
-        gtv = gammat[v]
-        row = t_cur[v]
-        c[v] = tuple((row[i], t_cur[gv[i]][gtv[i] - 1]) for i in range(deg[v]))
-
-    return EdgeTypeTable(
-        tcount=state.count,
-        t_is_star=tuple(state.is_star),
-        t_mark=tuple(state.mark),
-        c=tuple(c),
-    )
-
-
-def _extract_depth_one(g: NeighborListGraph, delta: int) -> EdgeTypeTable:
-    """extract_types for h = 1, on flat arrays of the directed edges.
-
-    With no message rounds a side's label is its round-0 message (own
-    mark, 0, edge mark toward self), which is never a star, so the
-    symmetrization stars exactly the edges with an endpoint of degree
-    above delta.  Labels are numbered in first-seen order over the edges
-    in (vertex, neighbor) order, round-0 messages first and then the star
-    messages (0, edge mark), as the general loop numbers them.
-    """
-    n = g.n
+    n, x, theta = g.n, g.x, g.theta
     deg = np.array(g.deg, dtype=np.int64)
     start = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(deg, out=start[1:])
@@ -200,39 +100,77 @@ def _extract_depth_one(g: NeighborListGraph, delta: int) -> EdgeTypeTable:
 
     nbr = flat(g.gamma)
     mirror = start[nbr] + flat(g.gammat) - 1  # slot of the reverse edge
-    mark = flat(g.x)
-    own_mark = np.repeat(np.array(g.theta, dtype=np.int64), deg)
+    mark = flat(x)
+    owner = np.repeat(np.arange(n + 1), deg)
 
-    def first_seen(keys):
-        """Distinct keys in order of first appearance, and each key's rank."""
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[order] = np.arange(len(uniq))
-        return uniq[order], rank[inverse.reshape(-1)]
-
+    # Round 0: each side's message is (own mark, 0, edge mark toward self);
+    # sending the distinct messages in first-seen order numbers them 1, 2, ...
     base = int(mark.max()) + 1 if total else 1
-    messages, label = first_seen(own_mark * base + mark)
+    messages, label = _first_seen(np.array(theta, dtype=np.int64)[owner] * base + mark)
     label += 1
-    is_star = [0] + [0] * len(messages)
-    t_mark = [0] + (messages % base).tolist()
+    state = _LabelState()
+    for k in messages.tolist():
+        state.send((k // base, 0, k % base))
 
+    for _ in range(1, h):
+        is_star_old = state.is_star
+        inbound = label[mirror].tolist()
+        state = _LabelState()
+        send = state.send
+        out = []
+        for v in range(1, n + 1):
+            xv = x[v]
+            d = len(xv)
+            if d <= delta:
+                # Last round's inbound messages paired with the mark toward v.
+                s = list(zip(inbound[len(out):len(out) + d], xv))
+                stars = [i for i in range(d) if is_star_old[s[i][0]]]
+            if d > delta or len(stars) >= 2:
+                out.extend([send((0, xi)) for xi in xv])
+                continue
+            row = [0] * d
+            order = sorted(range(d), key=s.__getitem__)
+            if stars:
+                # Everyone except the star sender gets a star back; the
+                # star sender receives the aggregate of the others.
+                i_star = stars[0]
+                t = [theta[v], d - 1]
+                for j in order:
+                    if j != i_star:
+                        t.extend(s[j])
+                        row[j] = send((0, xv[j]))
+                t.append(xv[i_star])
+                row[i_star] = send(tuple(t))
+            else:
+                for i in range(d):
+                    t = [theta[v], d - 1]
+                    for j in order:
+                        if j != i:
+                            t.extend(s[j])
+                    t.append(xv[i])
+                    row[i] = send(tuple(t))
+            out.extend(row)
+        label = np.array(out, dtype=np.int64)
+
+    # Symmetrization: if the mirror side is a star, or either endpoint
+    # degree exceeds delta, this side must be a star too.
+    star = np.array(state.is_star, dtype=bool)
     big = deg > delta
-    star = big[np.repeat(np.arange(n + 1), deg)] | big[nbr]
-    star_marks, star_rank = first_seen(mark[star])
-    label[star] = 1 + len(messages) + star_rank
-    is_star += [1] * len(star_marks)
-    t_mark += star_marks.tolist()
-    tcount = len(is_star) - 1
+    starred = ~star[label] & (star[label[mirror]] | big[owner] | big[nbr])
+    star_marks, star_rank = _first_seen(mark[starred])
+    sent = [state.send((0, xi)) for xi in star_marks.tolist()]
+    label[starred] = np.array(sent, dtype=np.int64)[star_rank]
 
     # c pairs each side's label with the mirror side's; equal pairs share
     # one tuple.
+    tcount = state.count
     pair_keys, pair_of = np.unique(label * (tcount + 1) + label[mirror], return_inverse=True)
     pairs = [divmod(k, tcount + 1) for k in pair_keys.tolist()]
     flat_pairs = [pairs[k] for k in pair_of.reshape(-1).tolist()]
     bounds = start.tolist()
     c = ((),) + tuple(tuple(flat_pairs[bounds[v]:bounds[v + 1]]) for v in range(1, n + 1))
-    return EdgeTypeTable(tcount=tcount, t_is_star=tuple(is_star), t_mark=tuple(t_mark), c=c)
+    return EdgeTypeTable(tcount=tcount, t_is_star=tuple(state.is_star),
+                         t_mark=tuple(state.mark), c=c)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,14 @@ import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """Malformed edge-list input; carries a 1-based line number when known."""
+    """Malformed edge-list input; carries a 1-based line number when known.
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    record names the EdgeListGraph record that failed validation: 0 for
+    the vertex marks, i + 1 for edges[i], None when no single record did.
+    """
+
+    def __init__(self, message: str, line: int | None = None, record: int | None = None):
+        self.message, self.line, self.record = message, line, record
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
 
@@ -40,21 +44,24 @@ class EdgeListGraph:
         if self.n < 1 or self.sigma_v < 1 or self.sigma_e < 1:
             raise GraphFormatError("n, |vertex marks| and |edge marks| must be >= 1")
         if len(self.theta) != self.n:
-            raise GraphFormatError(f"expected {self.n} vertex marks, got {len(self.theta)}")
+            raise GraphFormatError(f"expected {self.n} vertex marks, got {len(self.theta)}",
+                                   record=0)
         for v, mark in enumerate(self.theta, start=1):
             if not 1 <= mark <= self.sigma_v:
-                raise GraphFormatError(f"vertex {v}: mark {mark} outside 1..{self.sigma_v}")
+                raise GraphFormatError(f"vertex {v}: mark {mark} outside 1..{self.sigma_v}",
+                                       record=0)
         seen = set()
-        for v, w, x, xp in self.edges:
+        for record, (v, w, x, xp) in enumerate(self.edges, start=1):
             if not (1 <= v <= self.n and 1 <= w <= self.n):
-                raise GraphFormatError(f"edge ({v},{w}): endpoint out of range")
+                raise GraphFormatError(f"edge ({v},{w}): endpoint out of range", record=record)
             if v == w:
-                raise GraphFormatError(f"self loop at vertex {v}")
+                raise GraphFormatError(f"self loop at vertex {v}", record=record)
             if not (1 <= x <= self.sigma_e and 1 <= xp <= self.sigma_e):
-                raise GraphFormatError(f"edge ({v},{w}): mark outside 1..{self.sigma_e}")
+                raise GraphFormatError(f"edge ({v},{w}): mark outside 1..{self.sigma_e}",
+                                       record=record)
             key = (v, w) if v < w else (w, v)
             if key in seen:
-                raise GraphFormatError(f"duplicate edge {{{key[0]},{key[1]}}}")
+                raise GraphFormatError(f"duplicate edge {{{key[0]},{key[1]}}}", record=record)
             seen.add(key)
 
     @property
@@ -127,26 +134,9 @@ def parse_edge_list(text: str) -> EdgeListGraph:
     try:
         return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
                              theta=theta, edges=tuple(edges))
-    except GraphFormatError:
-        # Re-validate per record to attach the offending line number.
-        seen = set()
-        for v, mark in enumerate(theta, start=1):
-            if not 1 <= mark <= sigma_v:
-                raise GraphFormatError(f"vertex {v}: mark {mark} outside 1..{sigma_v}",
-                                       rows[1][0]) from None
-        for lineno, fields in rows[2:]:
-            v, w, x, xp = [int(f) for f in fields]
-            if v == w:
-                raise GraphFormatError("self loop", lineno) from None
-            if not (1 <= v <= n and 1 <= w <= n):
-                raise GraphFormatError("endpoint out of range", lineno) from None
-            if not (1 <= x <= sigma_e and 1 <= xp <= sigma_e):
-                raise GraphFormatError("edge mark out of range", lineno) from None
-            key = (min(v, w), max(v, w))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge {{{key[0]},{key[1]}}}", lineno) from None
-            seen.add(key)
-        raise
+    except GraphFormatError as e:
+        # The header was checked above; records follow it one per line.
+        raise GraphFormatError(e.message, rows[1 + e.record][0]) from None
 
 
 def canonical_edges(g: EdgeListGraph) -> tuple:

@@ -8,6 +8,7 @@ external dataset.
 """
 
 import random
+import statistics
 import time
 
 import pytest
@@ -267,12 +268,21 @@ def test_criterion_6b_normalized_length_near_entropy(criterion_6):
 
 
 def test_criterion_7_near_linear_encode_scaling():
-    times = {}
-    for n in (10**4, 10**5):
-        g = gen_synthetic(n, 3.0, 2, 2, seed=71)
+    # t(1e4) is the median of 5 encodes, 3 taken before and 2 after the one
+    # 1e5 encode: a single short sample swings with the host's load far
+    # more than the 1e5 encode, which averages over it.
+    small = gen_synthetic(10**4, 3.0, 2, 2, seed=71)
+    large = gen_synthetic(10**5, 3.0, 2, 2, seed=71)
+
+    def encode_seconds(g):
         t0 = time.perf_counter()
         encode_marked_graph(g, 1, 10)
-        times[n] = time.perf_counter() - t0
+        return time.perf_counter() - t0
+
+    samples = [encode_seconds(small) for _ in range(3)]
+    times = {10**5: encode_seconds(large)}
+    samples += [encode_seconds(small) for _ in range(2)]
+    times[10**4] = statistics.median(samples)
     ratio = times[10**5] / times[10**4]
     ok = ratio <= 15 and times[10**5] < 600
     _verdict(7, ok, f"(t(1e4)={times[10**4]:.2f}s, t(1e5)={times[10**5]:.2f}s, "

@@ -7,18 +7,21 @@ a divide-and-conquer recursion over intervals of left vertices; decoding
 inverts it with interval proxies; each neighbor is found by one Fenwick
 descent to a threshold on the residual half-edge count.  The interval
 ratios both directions need depend on the left degrees alone, so one
-product tree built bottom-up from binomials holds them all.
+product tree built bottom-up from binomials holds them all.  From
+WIDE_SPAN vertices on, both directions multiply by `mul` and the decoder
+divides by `floor_div`; narrower intervals use the inline operators.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
 from .fenwick import SuffixFenwick
 from .intmath import (ONE, WIDE_SPAN, ZERO, ceil_div, compute_product, falling_threshold,
-                      mpz, mul, prod_factorial)
+                      floor_div, mpz, mul, prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,10 @@ def _decode_node(a, bres, fen, i, n_r, ntilde):
     return z, neigh, l
 
 
+_INLINE = (operator.mul, operator.floordiv)
+_WIDE = (mul, floor_div)
+
+
 def _decode_interval(a, bres, fen, tree, x, i, j, n_r, ntilde, out):
     """Decode left vertices [i, j] at tree node x; returns (N_ij, l_ij)."""
     if i == j:
@@ -203,10 +210,12 @@ def _decode_interval(a, bres, fen, tree, x, i, j, n_r, ntilde, out):
         return n_ii, l
     k = (i + j) // 2
     r = tree[2 * x + 1]
-    n_ik, l_ik = _decode_interval(a, bres, fen, tree, 2 * x, i, k, n_r, ntilde // r, out)
-    nt_kj = (ntilde - n_ik * r) // l_ik
-    n_kj, l_kj = _decode_interval(a, bres, fen, tree, 2 * x + 1, k + 1, j, n_r, nt_kj, out)
-    return n_ik * r + l_ik * n_kj, l_ik * l_kj
+    times, div = _INLINE if j - i < WIDE_SPAN else _WIDE
+    n_ik, l_ik = _decode_interval(a, bres, fen, tree, 2 * x, i, k, n_r, div(ntilde, r), out)
+    p = times(n_ik, r)
+    n_kj, l_kj = _decode_interval(a, bres, fen, tree, 2 * x + 1, k + 1, j, n_r,
+                                  div(ntilde - p, l_ik), out)
+    return p + times(l_ik, n_kj), times(l_ik, l_kj)
 
 
 def b_decode(f, a, b, tree=None) -> tuple:
@@ -221,7 +230,7 @@ def b_decode(f, a, b, tree=None) -> tuple:
     n_l, n_r = len(a), len(b)
     if n_l == 0:
         return ()
-    ntilde = mpz(f) * prod_factorial(b, 1, n_r) if n_r else mpz(f)
+    ntilde = mul(mpz(f), prod_factorial(b, 1, n_r)) if n_r else mpz(f)
     bres = [0] + [int(x) for x in b]
     fen = SuffixFenwick(list(b))
     out = [()] * n_l

@@ -4,7 +4,8 @@ All results are arbitrary-precision integers.  When gmpy2 is available its
 mpz type is used internally (GMP has sub-quadratic multiplication and
 division, which the ranking codecs lean on for large graphs); plain Python
 ints are a correct fallback; for them `mul` takes the largest products by
-FFT and `floor_divmod` the largest quotients by recursive division.
+FFT and `floor_divmod` the largest quotients by recursive division.  The
+rank encoders and decoders both route their wide levels through these two.
 Unit-stride products go to `math.perm` and `math.comb`, and short strided
 runs to `math.prod`, so the interpreter loops only over the halving of
 long strided products.
@@ -126,17 +127,18 @@ _FFT_CUTOFF = 40_000
 # or when the error passes 1/4, 8-bit digits keep it near 1e-4 at twice
 # the transform length.
 _FFT16_MAX_BITS = 1 << 22
-# Interval width below which the rank recursions multiply inline: their
-# numbers stay under the FFT cutoff there, so calling mul would only add
-# per-node call overhead.
+# Interval width below which the rank recursions multiply and divide
+# inline: their numbers stay under the FFT and division cutoffs there, so
+# calling mul or floor_divmod would only add per-node call overhead.
 WIDE_SPAN = 1024
 _CHECK_PRIME = (1 << 64) - 59
 
 
 def mul(a, b):
-    """a * b for nonnegative a and b.
+    """a * b.
 
-    Once both factors of a plain-int product exceed the cutoff they are
+    Once both factors of a plain-int product exceed the cutoff, and neither
+    is negative (only a corrupt or hand-made rank can be), they are
     multiplied by a floating-point FFT convolution of their 16-bit (or,
     for the largest, 8-bit) digits, which is O(n log n) against
     Karatsuba's O(n^1.585).  The product is exact: the coefficients are
@@ -146,7 +148,7 @@ def mul(a, b):
     sub-quadratically itself, so mpz operands skip this.
     """
     small = min(a.bit_length(), b.bit_length())
-    if mpz is not int or small < _FFT_CUTOFF:
+    if mpz is not int or small < _FFT_CUTOFF or a < 0 or b < 0:
         return a * b
     check = (a % _CHECK_PRIME) * (b % _CHECK_PRIME) % _CHECK_PRIME
     for digit in ((16, 8) if small <= _FFT16_MAX_BITS else (8,)):
@@ -187,23 +189,29 @@ def ceil_div(a, b):
     return q + 1 if r else q
 
 
+def floor_div(a, b):
+    """a // b for positive b, by floor_divmod."""
+    return floor_divmod(a, b)[0]
+
+
 # Bits of divisor or quotient below which the interpreter's own division
 # is faster than recursing.
 _DIV_CUTOFF = 4000
 
 
 def floor_divmod(a, b):
-    """divmod(a, b) for a >= 0 and b > 0.
+    """divmod(a, b) for b > 0.
 
     CPython 3.11 divides in O(len(q) len(b)) steps.  Once both the divisor
     and the quotient exceed the cutoff, this divides by recursive halving
     instead (Burnikel and Ziegler, Fast Recursive Division, 1998): a long
     division in base 2**len(b) whose digit steps split the divisor in two,
     so the work goes into multiplications, which are sub-quadratic.  GMP
-    divides sub-quadratically itself, so mpz operands go to divmod.
+    divides sub-quadratically itself, so mpz operands go to divmod, and so
+    does a negative a, which only a corrupt rank can give a decoder.
     """
     n = b.bit_length()
-    if n <= _DIV_CUTOFF or a.bit_length() - n <= _DIV_CUTOFF or mpz is not int:
+    if a < 0 or n <= _DIV_CUTOFF or a.bit_length() - n <= _DIV_CUTOFF or mpz is not int:
         return divmod(a, b)
     mask = (1 << n) - 1
     q = r = 0

@@ -8,7 +8,9 @@ midpoints of large recursion intervals; the decoder needs those to split
 its proxy counts without re-walking the prefix.  Below the checkpoint
 threshold the decoder walks a chain of vertices one at a time, carrying
 the interval ratio forward by exact division, and finds each neighbor by
-one Fenwick descent to a threshold on the residual half-edge count.
+one Fenwick descent to a threshold on the residual half-edge count.  Both
+directions multiply by `mul` at their wide levels, and the decoder divides
+by `floor_div` at its checkpoint levels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .fenwick import SuffixFenwick
 from .intmath import (ONE, WIDE_SPAN, ZERO, ceil_div, compute_product, falling_threshold,
-                      mpz, mul, prod_factorial)
+                      floor_div, mpz, mul, prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,12 @@ def _decode_interval(ares, fen, i, j, pn, ntilde, index, s_j1, cps, thr, out):
     if s_k1 < s_j1 or (s_k1 - s_j1) % 2:
         raise ValueError(f"checkpoint {index} is below the one after it")
     r = compute_product(s_k1 - 1, (s_k1 - s_j1) // 2, 2)
-    n_ik, l_ik = _decode_interval(ares, fen, i, k, pn, ntilde // r,
+    n_ik, l_ik = _decode_interval(ares, fen, i, k, pn, floor_div(ntilde, r),
                                   2 * index, s_k1, cps, thr, out)
-    nt_kj = (ntilde - n_ik * r) // l_ik
-    n_kj, l_kj = _decode_interval(ares, fen, k + 1, j, pn, nt_kj,
+    p = mul(n_ik, r)
+    n_kj, l_kj = _decode_interval(ares, fen, k + 1, j, pn, floor_div(ntilde - p, l_ik),
                                   2 * index + 1, s_j1, cps, thr, out)
-    return n_ik * r + l_ik * n_kj, l_ik * l_kj
+    return p + mul(l_ik, n_kj), mul(l_ik, l_kj)
 
 
 def s_decode(f, cps, a) -> tuple:
@@ -222,7 +224,7 @@ def s_decode(f, cps, a) -> tuple:
     pn = len(a)
     if pn < 2:
         raise ValueError("need at least two vertices")
-    ntilde = mpz(f) * prod_factorial(a, 1, pn)
+    ntilde = mul(mpz(f), prod_factorial(a, 1, pn))
     ares = [0] + [int(x) for x in a]
     fen = SuffixFenwick(list(a))
     out = [()] * pn

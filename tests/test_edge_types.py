@@ -181,3 +181,31 @@ def test_label_numbering_pinned():
         digest.update(repr((t.tcount, t.t_is_star, t.t_mark, t.c)).encode())
     assert digest.hexdigest() == (
         "e404930615daa30761d62776aac1acc7cf0f1dbc0779e416a6664625ddc56623")
+
+
+def test_label_numbering_pinned_star_order():
+    # Vertex 5 has one star neighbor (the hub 6, above delta = 3) and sends
+    # the stars (0, a) and (0, b) of its other sides, new in that round, in
+    # sorted-message order: vertex 4's message repeats leaf 1's and so
+    # sorts before vertex 3's, against index order.  Random marks and a
+    # random tail on the vertices past 10 vary the rest.
+    rng = random.Random(22)
+    digest = hashlib.sha256()
+
+    def mark():
+        return rng.randint(1, 3)
+
+    for trial in range(24):
+        a, b = rng.sample(range(1, 4), 2)
+        c = mark()
+        edges = [(1, 2, c, mark()), (2, 3, mark(), mark()), (3, 5, mark(), a),
+                 (4, 5, c, b), (5, 6, mark(), mark())]
+        edges += [(6, w, mark(), mark()) for w in range(7, 11)]
+        tail = random_marked_graph(rng, rng.randint(1, 12), 0.3, 3, 1)
+        edges += [(10 + v, 10 + w, x, xp) for v, w, x, xp in tail.edges]
+        n = 10 + len(tail.theta)
+        g = EdgeListGraph(n=n, sigma_v=1, sigma_e=3, theta=(1,) * n, edges=tuple(edges))
+        t = extract_types(preprocess(g), 3 + trial % 2, 3)
+        digest.update(repr((t.tcount, t.t_is_star, t.t_mark, t.c)).encode())
+    assert digest.hexdigest() == (
+        "7db2bb28a0804be0e858b0e5bb0c883002e68f0afb4bee39eb256c87e791839d")

@@ -9,6 +9,7 @@ from lwcg.intmath import (
     compute_product,
     double_factorial_ratio,
     falling_threshold,
+    floor_div,
     floor_divmod,
     mul,
     prod_factorial,
@@ -147,22 +148,28 @@ def test_falling_threshold_beyond_float_range():
 def test_floor_divmod_vs_builtin():
     # Past the cutoff in divisor and quotient the division recurses; odd
     # widths exercise the padding, equal tops the 2**n - 1 estimate.
+    # Negative dividends, which a decoder meets only on a corrupt rank,
+    # must floor as divmod does at every width.
     rng = random.Random(9)
-    cases = [(0, 1), (5, 7), (2 ** 20000 - 1, 2 ** 9000 - 1), (2 ** 20000, 2 ** 9000 + 1)]
+    cases = [(0, 1), (5, 7), (2 ** 20000 - 1, 2 ** 9000 - 1), (2 ** 20000, 2 ** 9000 + 1),
+             (-5, 7), (-(2 ** 30000), 2 ** 9000 + 1), (-(2 ** 30000 - 1), 2 ** 9000 - 1)]
     for _ in range(40):
         nb = rng.randint(1, 30000)
         b = rng.getrandbits(nb) | 1 << (nb - 1)
         cases.append((rng.getrandbits(rng.randint(1, 70000)), b))
         top = b << rng.randint(0, 40000)
         cases.append((top - rng.randrange(b), b))
+        cases.append((-rng.getrandbits(nb + rng.randint(5000, 40000)), b))
     for a, b in cases:
         assert floor_divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
+        assert floor_div(a, b) == a // b
         assert ceil_div(a, b) == -(-a // b)
 
 
 def test_mul_vs_builtin():
-    # Below the cutoff, lopsided, random and all-ones factors, and all-ones
-    # factors large enough that 16-bit digits round too coarsely.
+    # Below the cutoff, lopsided, random and all-ones factors, all-ones
+    # factors large enough that 16-bit digits round too coarsely, and
+    # negative factors, which a decoder meets only on a corrupt rank.
     rng = random.Random(10)
     cases = [(0, 2 ** 50000), (1, 2 ** 50000 + 1), (3, 5), (2 ** 39999, 2 ** 39999)]
     for bits in (40_000, 45_000, 120_000, 700_000):
@@ -170,6 +177,8 @@ def test_mul_vs_builtin():
         cases.append((rng.getrandbits(bits), rng.getrandbits(3 * bits)))
         cases.append((2 ** bits - 1, 2 ** bits - 1))
     cases.append((2 ** 2_500_000 - 1, 2 ** 2_500_000 - 1))
+    a, b = rng.getrandbits(120_000), rng.getrandbits(90_000)
+    cases += [(-a, b), (a, -b), (-a, -b)]
     for a, b in cases:
         assert mul(a, b) == a * b, (a.bit_length(), b.bit_length())
 

@@ -52,7 +52,8 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     star vertex v increasing: a 1 bit plus the neighbor index for every
     incident star edge with marks (x, xp) whose far endpoint is above v,
     then a closing 0 bit.  One pass buckets the edges by mark pair; each
-    run of closing 0 bits is written as one field.
+    record and each run of closing 0 bits is one field, and one
+    write_fields call writes them all.
     """
     nbits = width(g.n)
     flag = 1 << nbits
@@ -63,30 +64,38 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
         for (t, tp), w, x, xp in zip(table.c[v], g.gamma[v], g.x[v], g.xp[v]):
             if w > v and (is_star[t] or is_star[tp]):
                 rows.setdefault((x, xp), []).append((pos, w))
+    fields = []  # value, width, value, width, ...
     for x in range(1, g.sigma_e + 1):
         for xp in range(1, g.sigma_e + 1):
             closed = 0  # star vertices whose closing 0 bit is written
             for pos, w in rows.get((x, xp), ()):
                 if pos > closed:
-                    out.write_fixed(0, pos - closed)
+                    fields += (0, pos - closed)
                     closed = pos
-                out.write_fixed(flag | w, nbits + 1)
-            out.write_fixed(0, len(star) - closed)
+                fields += (flag | w, nbits + 1)
+            fields += (0, len(star) - closed)
+    out.write_fields(fields[0::2], fields[1::2])
 
 
 def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
-    """Inverse of encode_star_edges; returns (v, w, x, xp) records."""
+    """Inverse of encode_star_edges; returns (v, w, x, xp) records.  A run
+    of 0 bits closes star vertices; a 1 bit starts a record of the next."""
     nbits = width(n)
+    flag = 1 << nbits
     star = [v for v in range(1, n + 1) if s[v]]
+    nstar = len(star)
+    read_zeros, read_fixed = reader.read_zeros, reader.read_fixed
     edges = []
     for x in range(1, sigma_e + 1):
         for xp in range(1, sigma_e + 1):
-            for v in star:
-                while reader.read_bit():
-                    w = reader.read_fixed(nbits)
-                    if not v < w <= n:
-                        raise CodecError(f"star edge endpoint {w} out of range")
-                    edges.append((v, w, x, xp))
+            closed = read_zeros(nstar)
+            while closed < nstar:
+                v = star[closed]
+                w = read_fixed(nbits + 1) ^ flag
+                if not v < w <= n:
+                    raise CodecError(f"star edge endpoint {w} out of range")
+                edges.append((v, w, x, xp))
+                closed += read_zeros(nstar - closed)
     return edges
 
 
@@ -109,8 +118,8 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
 
     Each vertex gets a flat signature (mark, then sorted (label, label,
     count) triples); distinct signatures go into a dictionary written
-    up front, and the per-vertex ids are handed to the sequence codec
-    (trees as in encode_sequence).
+    up front by one write_fields call, and the per-vertex ids are handed
+    to the sequence codec (trees as in encode_sequence).
     """
     dictionary = {}
     y = [0] * n
@@ -131,12 +140,11 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
     # must cover them too or the first signature entry would not fit.
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
     w_id = width(n)
-    out.write_fixed(len(dictionary), w_id)
+    values, widths = [len(dictionary)], [w_id]
     for sig in sorted(dictionary):
-        out.write_fixed(len(sig), w_size)
-        for elem in sig:
-            out.write_fixed(elem, w_elem)
-        out.write_fixed(dictionary[sig], w_id)
+        values += (len(sig),) + sig + (dictionary[sig],)
+        widths += [w_size] + [w_elem] * len(sig) + [w_id]
+    out.write_fields(values, widths)
     encode_sequence(y, out, trees)
 
 
@@ -149,8 +157,8 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount, t
     sigs = [None] * (count + 1)
     for _ in range(count):
         size = reader.read_fixed(w_size)
-        sig = tuple(reader.read_fixed(w_elem) for _ in range(size))
-        vid = reader.read_fixed(w_id)
+        *sig, vid = reader.read_fields([w_elem] * size + [w_id])
+        sig = tuple(sig)
         if not 1 <= vid <= count or sigs[vid] is not None:
             raise CodecError("bad vertex-type dictionary id")
         if not sig or (len(sig) - 1) % 3:
@@ -261,20 +269,13 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     table = extract_types(nl, h, delta)
 
     out = BitWriter()
-    for byte in MAGIC:
-        out.write_fixed(byte, 8)
-    out.write_fixed(VERSION, 8)
-    out.write_elias_delta(g.n)
-    out.write_elias_delta(g.sigma_e)
-    out.write_elias_delta(g.sigma_v)
-    out.write_elias_delta(h)
-    out.write_elias_delta(delta)
+    out.write_fields(list(MAGIC) + [VERSION], [8] * 5)
+    for value in (g.n, g.sigma_e, g.sigma_v, h, delta):
+        out.write_elias_delta(value)
 
     out.write_elias_delta(1 + table.tcount)
-    w_mark = width(g.sigma_e)
-    for i in range(1, table.tcount + 1):
-        out.write_bit(table.t_is_star[i])
-        out.write_fixed(table.t_mark[i], w_mark)
+    labels = zip(table.t_is_star[1:], table.t_mark[1:])
+    out.write_fields([f for label in labels for f in label], [1, width(g.sigma_e)] * table.tcount)
 
     s = find_star_vertices(nl, table)
     trees = {}  # the two length-n sequences share one ratio tree
@@ -315,28 +316,21 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
 def decode_marked_graph(data: bytes) -> EdgeListGraph:
     """Inverse of encode_marked_graph (canonical edge order may differ)."""
     reader = BitReader(data)
-    magic = bytes(reader.read_fixed(8) for _ in range(4))
-    if magic != MAGIC:
-        raise CodecError(f"bad magic {magic!r}")
-    version = reader.read_fixed(8)
-    if version != VERSION:
-        raise CodecError(f"unsupported version {version}")
-    n = reader.read_elias_delta()
-    sigma_e = reader.read_elias_delta()
-    sigma_v = reader.read_elias_delta()
-    h = reader.read_elias_delta()
-    delta = reader.read_elias_delta()
-    del h  # recorded in the header; decoding never re-runs type extraction
+    head = bytes(reader.read_fields([8] * 5))
+    if head[:4] != MAGIC:
+        raise CodecError(f"bad magic {head[:4]!r}")
+    if head[4] != VERSION:
+        raise CodecError(f"unsupported version {head[4]}")
+    # h is recorded in the header; decoding never re-runs type extraction.
+    n, sigma_e, sigma_v, _, delta = (reader.read_elias_delta() for _ in range(5))
 
     tcount = reader.read_elias_delta() - 1
     w_mark = width(sigma_e)
     if tcount * (1 + w_mark) > reader.remaining():
         raise CodecError(f"type count {tcount} exceeds remaining stream")
-    t_is_star = [0] * (tcount + 1)
-    t_mark = [0] * (tcount + 1)
-    for i in range(1, tcount + 1):
-        t_is_star[i] = reader.read_bit()
-        t_mark[i] = reader.read_fixed(w_mark)
+    fields = reader.read_fields([1, w_mark] * tcount)
+    t_is_star = [0] + fields[0::2]
+    t_mark = [0] + fields[1::2]
 
     trees = {}
     s = [0] + decode_sequence(n, reader, trees)

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 
@@ -123,3 +125,161 @@ def test_width_helper():
     assert width(3) == 2
     assert width(16) == 5
     assert width(255) == 8
+
+
+def test_elias_delta_huge_mantissa_rejected_before_allocating_it():
+    # 26 zeros, a 1, then 26 ones: a 7-byte stream whose length prefix
+    # declares a mantissa of 2**27 - 2 bits, which 1 << m would build as a
+    # 16 MB int before finding that the stream is too short.
+    w = BitWriter()
+    w.write_fixed(0, 26)
+    w.write_fixed((1 << 27) - 1, 27)
+    data = w.to_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedStreamError):
+            BitReader(data).read_elias_delta()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# Bulk field I/O must move exactly the bits of the per-field calls.
+
+BULK = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def fields(draw, max_size=40):
+    """(values, widths): widths 0..200, values that fit; the fields wider
+    than 64 bits are zero runs."""
+    widths = draw(st.lists(st.one_of(st.integers(0, 16), st.sampled_from([63, 64]),
+                                     st.integers(65, 200)), max_size=max_size))
+    values = [0 if w > 64 else draw(st.one_of(st.integers(0, (1 << w) - 1),
+                                              st.just((1 << w) - 1)))
+              for w in widths]
+    return values, widths
+
+
+def with_prefix(offset):
+    """A writer already holding `offset` bits, so fields start mid-byte."""
+    w = BitWriter()
+    w.write_fixed((1 << offset) - 1 if offset else 0, offset)
+    return w
+
+
+@BULK
+@given(fields(), st.integers(0, 7))
+def test_write_fields_matches_write_fixed(fields, offset):
+    values, widths = fields
+    one, bulk = with_prefix(offset), with_prefix(offset)
+    for value, nbits in zip(values, widths):
+        one.write_fixed(value, nbits)
+    bulk.write_fields(values, widths)
+    assert bulk.to_bytes() == one.to_bytes()
+    assert bulk.bit_length == one.bit_length
+
+
+def test_write_fields_across_blocks_and_wide_runs():
+    # More fields than one numpy pass takes, with 63-, 64- and >64-bit fields.
+    rng = random.Random(61)
+    widths = [rng.choice([0, 1, 5, 14, 63, 64, 65, 1000]) for _ in range(10000)]
+    values = [0 if w > 64 else rng.getrandbits(w) for w in widths]
+    one, bulk = with_prefix(3), with_prefix(3)
+    for value, nbits in zip(values, widths):
+        one.write_fixed(value, nbits)
+    bulk.write_fields(values, widths)
+    assert bulk.to_bytes() == one.to_bytes()
+    r = BitReader(bulk.to_bytes())
+    r.read_fixed(3)
+    assert r.read_fields(widths) == values
+
+
+@BULK
+@given(st.integers(0, 70), st.integers(0, 7))
+def test_write_fields_rejects_what_write_fixed_rejects(nbits, offset):
+    for value in (1 << nbits, -1):
+        with pytest.raises(ValueError):
+            with_prefix(offset).write_fixed(value, nbits)
+        with pytest.raises(ValueError):
+            with_prefix(offset).write_fields([0, value], [3, nbits])
+
+
+def test_write_fields_rejects_values_of_65_bits_and_bad_shapes():
+    # write_fields values are below 2**64 even in wider fields.
+    with pytest.raises(ValueError):
+        BitWriter().write_fields([1 << 64], [100])
+    with pytest.raises(ValueError):
+        BitWriter().write_fields([0], [-1])
+    with pytest.raises(ValueError):
+        BitWriter().write_fields([1, 2], [4])
+
+
+@BULK
+@given(fields(), st.integers(0, 7))
+def test_read_fields_matches_read_fixed(fields, offset):
+    values, widths = fields
+    w = with_prefix(offset)
+    w.write_fields(values, widths)
+    data = w.to_bytes()
+    one, bulk = BitReader(data), BitReader(data)
+    one.read_fixed(offset)
+    bulk.read_fixed(offset)
+    assert bulk.read_fields(widths) == [one.read_fixed(nbits) for nbits in widths] == values
+    assert bulk.position == one.position
+    # One bit more than the stream holds, past the padding.
+    with pytest.raises(TruncatedStreamError):
+        BitReader(data).read_fields(widths + [8 * len(data) - sum(widths) + 1])
+
+
+def zeros_one_by_one(reader, limit):
+    """read_zeros as single-bit reads: stop before a 1 or after limit."""
+    count = 0
+    while count < limit:
+        if reader.read_fixed(1):
+            reader._pos -= 1  # leave the 1 unread
+            break
+        count += 1
+    return count
+
+
+@BULK
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=12),
+       st.integers(0, 7), st.integers(0, 400), st.booleans())
+def test_read_zeros_matches_single_bit_reads(runs, offset, limit, end_in_one):
+    # Zero runs separated by 1 bits; the stream may end in a zero run.
+    w = with_prefix(offset)
+    for run in runs:
+        w.write_fixed(1, run + 1)
+    if not end_in_one:
+        w.write_fixed(0, runs[0])
+    data = w.to_bytes()
+    one, bulk = BitReader(data), BitReader(data)
+    while True:
+        try:
+            want = zeros_one_by_one(one, limit)
+        except TruncatedStreamError:
+            with pytest.raises(TruncatedStreamError):
+                bulk.read_zeros(limit)
+            break
+        assert bulk.read_zeros(limit) == want
+        assert bulk.position == one.position
+        if not bulk.remaining():
+            break
+        one.read_fixed(1)
+        bulk.read_fixed(1)
+
+
+def test_read_zeros_limit_and_end_of_stream():
+    r = BitReader(bytes(3) + b"\x80")
+    assert r.read_zeros(5) == 5
+    assert r.read_zeros(100) == 19
+    assert r.read_fixed(1) == 1
+    assert r.read_zeros(7) == 7  # the padding
+    with pytest.raises(TruncatedStreamError):
+        BitReader(bytes(2)).read_zeros(17)
+    assert BitReader(bytes(2)).read_zeros(16) == 16
+    assert BitReader(b"").read_zeros(0) == 0
+    with pytest.raises(ValueError):
+        BitReader(b"\x01").read_zeros(-1)

@@ -424,3 +424,48 @@ def test_out_of_range_partition_rank_raises_codec_error(monkeypatch, sigma, shif
     with pytest.raises(CodecError) as info:
         decode_marked_graph(data)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def channel_spans(monkeypatch, g, h, delta):
+    """Encode g; return the stream and the bit spans [start, end) of its
+    star-edge channel and of its vertex-type dictionary."""
+    import lwcg.pipeline as pipeline
+    marks = []  # writer positions before and after each call below
+
+    def mark(fn):
+        def call(*args):
+            out = next(a for a in args if isinstance(a, BitWriter))
+            marks.append(out.bit_length)
+            fn(*args)
+            marks.append(out.bit_length)
+        return call
+
+    for name in ("encode_sequence", "encode_star_edges", "encode_vertex_types"):
+        monkeypatch.setattr(pipeline, name, mark(getattr(pipeline, name)))
+    data = encode_marked_graph(g, h, delta)
+    monkeypatch.undo()
+    # star bitmap, star edges, then vertex types around the id sequence.
+    _, _, star0, star1, dict0, dict1, _, _ = marks
+    return data, {"star_edges": (star0, star1), "dictionary": (dict0, dict1)}
+
+
+def cut(data, nbits):
+    """The first nbits bits of data, zero-padded to a byte boundary."""
+    head = data[:nbits // 8]
+    if nbits % 8:
+        head += bytes([data[nbits // 8] & (0xFF << (8 - nbits % 8)) & 0xFF])
+    return head
+
+
+@pytest.mark.parametrize("h, delta", [(2, 4), (1, 20)])
+def test_streams_cut_inside_star_edges_or_dictionary_raise_codec_error(monkeypatch, h, delta):
+    # About 100 evenly spaced cuts per channel, every bit of a shorter one.
+    # The star-edge channel is empty at h=1, delta=20.
+    data, spans = channel_spans(monkeypatch, gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
+    cuts = set()
+    for start, end in spans.values():
+        cuts.update(range(start, end, max(1, (end - start) // 100)))
+    assert len(cuts) >= 100
+    for nbits in sorted(cuts):
+        with pytest.raises(CodecError):
+            decode_marked_graph(cut(data, nbits))

@@ -4,10 +4,11 @@ A graph with left degrees a and right degrees b is mapped to the integer
 f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
 a divide-and-conquer recursion over intervals of left vertices; decoding
-inverts it with interval proxies; each neighbor is found by one Fenwick
-descent to a threshold on the residual half-edge count.  The interval
-ratios both directions need depend on the left degrees alone, so one
-product tree built bottom-up from binomials holds them all.  From
+inverts it with interval proxies.  It carries the residual half-edge
+count forward from s_i, the left degree sum from i on, and finds each
+neighbor by at most one Fenwick descent to a threshold on that count.
+The interval ratios depend on the left degrees alone, so one product
+tree built bottom-up from binomials holds them all.  From
 WIDE_SPAN vertices on, both directions multiply by `mul` and the decoder
 divides by `floor_div`; narrower intervals use the inline operators.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 
 from .fenwick import SuffixFenwick
@@ -152,7 +153,7 @@ def b_encode(inst: BipartiteInstance, tree=None):
 
     tree, if given, is ratio_tree(inst.a), built once by the caller.
     """
-    if inst.n_l == 0:
+    if inst.n_l == 0 or inst.n_r == 1:  # at most one graph: rank 0
         return ZERO
     bres = [0] + [int(x) for x in inst.b]
     fen = SuffixFenwick(list(inst.b))
@@ -163,28 +164,31 @@ def b_encode(inst: BipartiteInstance, tree=None):
     return ceil_div(n, l)
 
 
-def _decode_node(a, bres, fen, i, n_r, ntilde):
+def _decode_node(suf, bres, fen, i, n_r, ntilde):
     """Recover the neighbor list of left vertex i from its proxy count.
 
     Neighbor w is the smallest above the last one with
     C(S_{w+1}, q) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a threshold on
-    S_{w+1} that one Fenwick descent locates.
+    S_{w+1} that one Fenwick descent locates.  S_{lo+1} is carried forward
+    from S_1 = s_i = suf[i - 1], less each residual degree passed.
     """
     z_t = ntilde
     z = ZERO
     l = ONE
-    ai = a[i - 1]
+    ai = suf[i - 1] - suf[i]
     neigh = []
     lo = 1
+    s = suf[i - 1] - bres[1]
     for k in range(ai):
         if lo > n_r:
             raise ValueError(f"left vertex {i}: neighbor list runs past {n_r}")
         q = ai - k
-        y = comb(fen.suffix_sum(1 + lo), q)
+        y = comb(s, q)
         if y > z_t:
-            s_max = falling_threshold((z_t + 1) * factorial(q) - 1, q)
-            lo = fen.first_at_most(s_max) - 1  # in (lo, n_r]: S_{lo+1} > s_max
-            y = comb(fen.suffix_sum(1 + lo), q)
+            # Lands in (lo, n_r]: S_{lo+1} is above the threshold.
+            lo, s = fen.first_at_most(falling_threshold((z_t + 1) * factorial(q) - 1, q))
+            lo -= 1
+            y = comb(s, q)
         res = bres[lo]
         if not res:
             raise ValueError(f"left vertex {i}: right vertex {lo} has no half-edge left")
@@ -195,6 +199,7 @@ def _decode_node(a, bres, fen, i, n_r, ntilde):
         fen.add(lo, -1)
         bres[lo] = res - 1
         lo += 1
+        s -= bres[lo]
     return z, neigh, l
 
 
@@ -202,18 +207,18 @@ _INLINE = (operator.mul, operator.floordiv)
 _WIDE = (mul, floor_div)
 
 
-def _decode_interval(a, bres, fen, tree, x, i, j, n_r, ntilde, out):
+def _decode_interval(suf, bres, fen, tree, x, i, j, n_r, ntilde, out):
     """Decode left vertices [i, j] at tree node x; returns (N_ij, l_ij)."""
     if i == j:
-        n_ii, neigh, l = _decode_node(a, bres, fen, i, n_r, ntilde)
+        n_ii, neigh, l = _decode_node(suf, bres, fen, i, n_r, ntilde)
         out[i - 1] = tuple(neigh)
         return n_ii, l
     k = (i + j) // 2
     r = tree[2 * x + 1]
     times, div = _INLINE if j - i < WIDE_SPAN else _WIDE
-    n_ik, l_ik = _decode_interval(a, bres, fen, tree, 2 * x, i, k, n_r, div(ntilde, r), out)
+    n_ik, l_ik = _decode_interval(suf, bres, fen, tree, 2 * x, i, k, n_r, div(ntilde, r), out)
     p = times(n_ik, r)
-    n_kj, l_kj = _decode_interval(a, bres, fen, tree, 2 * x + 1, k + 1, j, n_r,
+    n_kj, l_kj = _decode_interval(suf, bres, fen, tree, 2 * x + 1, k + 1, j, n_r,
                                   div(ntilde - p, l_ik), out)
     return p + times(l_ik, n_kj), times(l_ik, l_kj)
 
@@ -222,21 +227,26 @@ def b_decode(f, a, b, tree=None) -> tuple:
     """Inverse of b_encode given the two degree sequences.
 
     Inconsistent degree sums are rejected.  A rank that is out of range
-    either raises ValueError or decodes to some graph with these degrees.
-    tree, if given, is ratio_tree(a), built once by the caller.
+    raises ValueError or decodes to some graph with these degrees (with one
+    right vertex, it raises).  tree, if given, is ratio_tree(a).
     """
     if sum(a) != sum(b):
         raise ValueError("degree sums differ between sides")
     n_l, n_r = len(a), len(b)
     if n_l == 0:
         return ()
+    if n_r == 1:
+        if f or max(a) > 1:
+            raise ValueError(f"rank {f} or a left degree above 1 with one right vertex")
+        return tuple((1,) if ai else () for ai in a)
     ntilde = mul(mpz(f), prod_factorial(b, 1, n_r)) if n_r else mpz(f)
-    bres = [0] + [int(x) for x in b]
+    bres = [0] + [int(x) for x in b] + [0]
+    suf = list(accumulate(reversed(a), initial=0))[::-1]  # s_i = suf[i - 1], s_{n+1} = 0
     fen = SuffixFenwick(list(b))
     out = [()] * n_l
     if tree is None:
         tree = ratio_tree(a)
-    _decode_interval(a, bres, fen, tree, 1, 1, n_l, n_r, ntilde, out)
+    _decode_interval(suf, bres, fen, tree, 1, 1, n_l, n_r, ntilde, out)
     return tuple(out)
 
 

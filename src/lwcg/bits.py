@@ -67,8 +67,9 @@ class BitWriter:
         """write_fixed(values[i], widths[i]) for every i, in bulk.
 
         Values are ints below 2**64, so a field wider than 64 bits starts
-        with a run of zeros.  numpy packs _BLOCK fields per pass, which
-        bounds its temporaries.
+        with a run of zeros.  numpy ORs each field into the one or two
+        64-bit words its value spans, _BLOCK fields per pass, so its
+        temporaries hold a few words per field, none per bit.
         """
         if len(values) != len(widths):
             raise ValueError("values and widths differ in length")
@@ -80,14 +81,13 @@ class BitWriter:
             w = np.array(widths[start:start + _BLOCK], dtype=np.int64)
             if (w < 0).any() or ((w < 64) & (v >> np.minimum(w, 63).astype(np.uint64) != 0)).any():
                 raise ValueError("a field value does not fit in its width")
-            ends = np.cumsum(w)
-            low = np.minimum(w, 64)  # the last 64 bits of a field hold its value
-            field = np.repeat(np.arange(len(w)), low)
-            at = np.arange(len(field)) + (ends - np.cumsum(low))[field]  # stream bit
-            bits = np.zeros(int(ends[-1]), np.uint8)
-            bits[at] = (v[field] >> (ends[field] - 1 - at).astype(np.uint64)) & np.uint64(1)
-            self.write_fixed(int.from_bytes(np.packbits(bits).tobytes(), "big")
-                             >> (-len(bits) & 7), len(bits))
+            ends = np.cumsum(w)  # a field ends at bit r of word q, after a zero word
+            q, r = (ends >> 6) + 1, (ends & 63).astype(np.uint64)
+            words = np.zeros(int(ends[-1] >> 6) + 2, np.uint64)
+            np.bitwise_or.at(words, q - 1, v >> r)
+            np.bitwise_or.at(words, q, np.where(r > 0, v << ((64 - r) & 63), 0))
+            self.write_fixed(int.from_bytes(words.astype(">u8").tobytes(), "big")
+                             >> (64 - int(ends[-1] & 63)), int(ends[-1]))
 
     def write_elias_delta(self, n: int) -> None:
         """Prefix-free code for n >= 1: zeros, length-of-length, mantissa."""

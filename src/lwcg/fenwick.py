@@ -1,4 +1,5 @@
-"""Fenwick tree over suffix sums, as both ranking codecs consume it."""
+"""Fenwick tree over suffix sums, as both ranking codecs consume it: point
+updates and a descent that returns the suffix sum where it lands."""
 
 from __future__ import annotations
 
@@ -53,26 +54,27 @@ class SuffixFenwick:
             i -= i & -i
         return total
 
-    def first_at_most(self, s: int) -> int:
-        """Smallest k in [1, n+1] with suffix_sum(k) <= s; n+1 when s < 0.
+    def first_at_most(self, s: int) -> tuple:
+        """(k, suffix_sum(k)) for the smallest k in [1, n+1] with
+        suffix_sum(k) <= s; (n+1, 0) when s < 0.
 
-        One top-down descent: the largest reversed index whose prefix sum
-        stays <= s.  Requires every a[k] >= 0, which makes suffix_sum
-        non-increasing in k.
+        One top-down descent to the largest reversed index whose prefix
+        sum, suffix_sum(k), stays <= s.  Requires every a[k] >= 0.
         """
         if s < 0:
-            return self._n + 1
+            return self._n + 1, 0
         tree = self._tree
         n = self._n
         pos = 0
+        left = s
         step = self._top
         while step:
             nxt = pos + step
-            if nxt <= n and tree[nxt] <= s:
+            if nxt <= n and tree[nxt] <= left:
                 pos = nxt
-                s -= tree[nxt]
+                left -= tree[nxt]
             step >>= 1
-        return n - pos + 1
+        return n - pos + 1, s - left
 
     def total(self) -> int:
         return self.suffix_sum(1)

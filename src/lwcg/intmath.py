@@ -13,7 +13,8 @@ long strided products.
 
 from __future__ import annotations
 
-from math import comb, perm, prod
+from collections import Counter
+from math import comb, factorial, perm, prod
 
 import numpy as np
 
@@ -54,14 +55,14 @@ def _product_positive(p: int, k: int, s: int):
 
 
 def prod_factorial(v, i: int, j: int):
-    """Product of v_p! for p in the 1-based inclusive range [i, j]."""
+    """Product of v_p! for p in the 1-based inclusive range [i, j]: that of
+    (d!)^c over the values d occurring c times, multiplied pairwise."""
     if not 1 <= i <= j <= len(v):
         raise IndexError(f"range [{i}, {j}] out of bounds for length {len(v)}")
-    if i == j:
-        x = v[i - 1]
-        return compute_product(x, x, 1)
-    m = (i + j) // 2
-    return prod_factorial(v, i, m) * prod_factorial(v, m + 1, j)
+    terms = [mpz(factorial(d)) ** c for d, c in Counter(v[i - 1:j]).items() if d > 1] or [ONE]
+    while len(terms) > 1:
+        terms = [mul(x, y) for x, y in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0]
 
 
 def double_factorial_ratio(s_hi: int, s_lo: int):

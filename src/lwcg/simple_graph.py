@@ -5,10 +5,12 @@ graph's (upper-triangular, row-major), divided by prod(a_v!).  The encoder
 builds each interval ratio bottom-up as the product of its halves'.
 Alongside f it emits a checkpoint array of residual half-edge totals at the
 midpoints of large recursion intervals; the decoder needs those to split
-its proxy counts without re-walking the prefix.  Below the checkpoint
-threshold the decoder walks a chain of vertices one at a time, carrying
-the interval ratio forward by exact division, and finds each neighbor by
-one Fenwick descent to a threshold on the residual half-edge count.  Both
+its proxy counts without re-walking the prefix.  It caps each checkpoint
+by its parent's bounds, then builds their ratios as one product tree over
+the segments they bound.  Below the checkpoint threshold it walks a chain
+of vertices, carrying the interval ratio forward by exact division and
+the residual half-edge count from the head's one suffix sum; each neighbor
+takes at most one Fenwick descent to a threshold on that count.  Both
 directions multiply by `mul` at their wide levels, and the decoder divides
 by `floor_div` at its checkpoint levels.
 """
@@ -130,12 +132,12 @@ def s_encode(inst: SimpleInstance):
     return ceil_div(n, l), cps
 
 
-def _decode_node(ares, fen, i, pn, ntilde):
+def _decode_node(ares, fen, i, pn, ntilde, s):
     """Recover the forward neighbors of vertex i from its proxy count.
 
-    Neighbor w is the smallest above the last one with
-    (S_{w+1})_q <= z~, i.e. with S_{w+1} <= falling_threshold(z~, q): one
-    Fenwick descent, unless the first candidate already qualifies.
+    Neighbor w is the smallest above the last one with S_{w+1} <=
+    falling_threshold(z~, q): one Fenwick descent unless the first candidate
+    qualifies.  S_{lo+1} is carried forward from s = S_{i+1}.
     """
     z_t = ntilde
     z = ZERO
@@ -143,15 +145,17 @@ def _decode_node(ares, fen, i, pn, ntilde):
     ahat = ares[i]
     neigh = []
     lo = i + 1
+    s -= ares[lo]
     for k in range(ahat):
         if lo > pn:
             raise ValueError(f"vertex {i}: neighbor list runs past vertex {pn}")
         q = ahat - k
-        y = compute_product(fen.suffix_sum(1 + lo), q, 1)
-        if y > z_t:
+        s_max = falling_threshold(z_t, q)
+        if s > s_max:
             # Lands in (lo, pn]: S_{lo+1} is above the threshold.
-            lo = fen.first_at_most(falling_threshold(z_t, q)) - 1
-            y = compute_product(fen.suffix_sum(1 + lo), q, 1)
+            lo, s = fen.first_at_most(s_max)
+            lo -= 1
+        y = math.perm(s, q)
         res = ares[lo]
         if not res:
             raise ValueError(f"vertex {i}: neighbor {lo} has no half-edge left")
@@ -163,6 +167,7 @@ def _decode_node(ares, fen, i, pn, ntilde):
         fen.add(lo, -1)
         z_t = (z_t - y) // c
         lo += 1
+        s -= ares[lo]
     return z, neigh, l
 
 
@@ -173,7 +178,7 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
     r_v = (s_v - 1)!! / (s_j1 - 1)!!, s_v being the half-edges left after v.
     r is built once at the chain head and then shrunk by exact division
     with the terms each decoded vertex removes.  (N, l) are folded back in
-    reverse, as the per-vertex recursion N = n_v r_v + l_v N_rest does.
+    reverse, as N = n_v r_v + l_v N_rest does.  S_{v+1} is s_v + ahat_v.
     """
     s = fen.suffix_sum(i) - 2 * ares[i]
     if s < s_j1 or (s - s_j1) % 2:
@@ -181,7 +186,7 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
     r = compute_product(s - 1, (s - s_j1) // 2, 2)
     steps = []
     for v in range(i, j):
-        n_v, neigh, l_v = _decode_node(ares, fen, v, pn, ntilde // r)
+        n_v, neigh, l_v = _decode_node(ares, fen, v, pn, ntilde // r, s + ares[v])
         out[v - 1] = tuple(neigh)
         p_v = n_v * r
         steps.append((p_v, l_v))
@@ -191,7 +196,7 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
             raise ValueError(f"vertex {v + 1}: residual half-edges below the checkpoint")
         r //= compute_product(s - 1, drop, 2)
         s -= 2 * drop
-    n_ij, neigh, l_ij = _decode_node(ares, fen, j, pn, ntilde)
+    n_ij, neigh, l_ij = _decode_node(ares, fen, j, pn, ntilde, s + ares[j])
     out[j - 1] = tuple(neigh)
     if s != s_j1:
         raise ValueError(f"vertex {j}: half-edges left do not match the checkpoint")
@@ -201,21 +206,41 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
     return n_ij, l_ij
 
 
-def _decode_interval(ares, fen, i, j, pn, ntilde, index, s_j1, cps, thr, out):
+def checkpoint_tree(cps, thr, tree, x, i, j, s_i, s_j1, need):
+    """Check the checkpoints under node x over [i, j]; fill tree if given.
+
+    Node x's checkpoint s_{k+1} = cps[x], k = (i+j)//2, must be an even
+    count in [s_{j+1}, s_i], so every one is capped by s_1, the degree sum.
+    tree[y] becomes right child y's ratio (s_{k+1} - 1)!! / (s_{j+1} - 1)!!:
+    one strided product per chain segment, the children's product above.
+    Returns node x's own ratio when need is true (never for the left spine).
+    """
     if j - i + 1 <= thr:
+        return compute_product(s_i - 1, (s_i - s_j1) // 2, 2) if need else None
+    if x >= len(cps):
+        raise ValueError(f"checkpoint {x} missing: only {len(cps) - 1} given")
+    k = (i + j) // 2
+    s_k1 = cps[x]
+    if not s_j1 <= s_k1 <= s_i or (s_k1 - s_j1) % 2:
+        raise ValueError(f"checkpoint {x} is {s_k1}, not an even count in [{s_j1}, {s_i}]")
+    right = checkpoint_tree(cps, thr, tree, 2 * x + 1, k + 1, j, s_k1, s_j1, tree is not None)
+    left = checkpoint_tree(cps, thr, tree, 2 * x, i, k, s_i, s_k1, need)
+    if tree is not None:
+        tree[2 * x + 1] = right
+    return mul(left, right) if need else None
+
+
+def _decode_interval(ares, fen, i, j, pn, ntilde, index, s_j1, cps, tree, out):
+    if j - i + 1 <= split_threshold(pn):
         return _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out)
-    if index >= len(cps):
-        raise ValueError(f"checkpoint {index} missing: only {len(cps) - 1} given")
     k = (i + j) // 2
     s_k1 = cps[index]
-    if s_k1 < s_j1 or (s_k1 - s_j1) % 2:
-        raise ValueError(f"checkpoint {index} is below the one after it")
-    r = compute_product(s_k1 - 1, (s_k1 - s_j1) // 2, 2)
+    r = tree[2 * index + 1]
     n_ik, l_ik = _decode_interval(ares, fen, i, k, pn, floor_div(ntilde, r),
-                                  2 * index, s_k1, cps, thr, out)
+                                  2 * index, s_k1, cps, tree, out)
     p = mul(n_ik, r)
     n_kj, l_kj = _decode_interval(ares, fen, k + 1, j, pn, floor_div(ntilde - p, l_ik),
-                                  2 * index + 1, s_j1, cps, thr, out)
+                                  2 * index + 1, s_j1, cps, tree, out)
     return p + mul(l_ik, n_kj), mul(l_ik, l_kj)
 
 
@@ -224,12 +249,14 @@ def s_decode(f, cps, a) -> tuple:
     pn = len(a)
     if pn < 2:
         raise ValueError("need at least two vertices")
+    tree = [None] * (2 * len(cps) + 2)
+    for out in (None, tree):  # check every checkpoint before any product
+        checkpoint_tree(cps, split_threshold(pn), out, 1, 1, pn, sum(a), 0, False)
     ntilde = mul(mpz(f), prod_factorial(a, 1, pn))
-    ares = [0] + [int(x) for x in a]
+    ares = [0] + [int(x) for x in a] + [0]
     fen = SuffixFenwick(list(a))
     out = [()] * pn
-    _decode_interval(ares, fen, 1, pn, pn, ntilde, 1, 0, cps,
-                     split_threshold(pn), out)
+    _decode_interval(ares, fen, 1, pn, pn, ntilde, 1, 0, cps, tree, out)
     return tuple(out)
 
 

@@ -3,6 +3,9 @@ from itertools import product
 
 import pytest
 
+from lwcg.bits import BitReader, BitWriter, CodecError
+from lwcg.fenwick import SuffixFenwick
+from lwcg.sequences import decode_sequence, encode_sequence
 from lwcg.bipartite import (
     BipartiteInstance,
     b_configuration_count,
@@ -213,3 +216,41 @@ def test_out_of_range_ranks_fail_cleanly():
         BipartiteInstance(a=inst.a, b=inst.b, adj=adj)  # increasing, in range
         outcomes.add("graph")
     assert "ValueError" in outcomes
+
+
+def test_decoder_asks_for_no_suffix_sum(monkeypatch):
+    # Each left vertex starts from s_i, fixed by the left degrees, and the
+    # neighbor search carries S_{lo+1} forward from there.
+    calls = []
+    original = SuffixFenwick.suffix_sum
+    monkeypatch.setattr(SuffixFenwick, "suffix_sum",
+                        lambda fen, k: calls.append(k) or original(fen, k))
+    rng = random.Random(26)
+    for _ in range(200):
+        inst = random_instance(rng)
+        assert b_decode(b_encode(inst), inst.a, inst.b) == inst.adj
+    y = [rng.randrange(40) for _ in range(3000)]
+    w = BitWriter()
+    encode_sequence(y, w)
+    calls.clear()  # the encoder still asks
+    assert decode_sequence(len(y), BitReader(w.to_bytes())) == y
+    assert calls == []
+
+
+def test_one_right_vertex_has_rank_zero_only():
+    a = (1, 0, 1, 1, 0)
+    inst = BipartiteInstance(a=a, b=(3,), adj=((1,), (), (1,), (1,), ()))
+    assert b_encode(inst) == 0
+    assert b_decode(0, a, (3,)) == inst.adj
+    for bad in (1, 7, 1 << 300):
+        with pytest.raises(ValueError):
+            b_decode(bad, a, (3,))
+    with pytest.raises(ValueError):
+        b_decode(0, (2, 1), (3,))  # two half-edges of one vertex to one right vertex
+    # The sequence codec's all-zero sequence: K = 1, rank 0, and a stream
+    # carrying another rank is refused.
+    w = BitWriter()
+    for value in (1, 1 + 4, 1 + 1):  # K, 1 + frequency, 1 + rank
+        w.write_elias_delta(value)
+    with pytest.raises(CodecError):
+        decode_sequence(4, BitReader(w.to_bytes()))

@@ -66,9 +66,10 @@ def test_interleaved_ops_vs_naive():
 
 
 def _first_at_most_naive(a, s):
+    """(k, suffix sum from k) for the first k whose suffix sum is <= s."""
     for k in range(1, len(a) + 2):
         if sum(a[k - 1:]) <= s:
-            return k
+            return k, sum(a[k - 1:])
     raise AssertionError("suffix_sum(n+1) is 0")
 
 
@@ -80,16 +81,17 @@ def test_first_at_most_vs_naive():
         fen = SuffixFenwick(a)
         total = sum(a)
         for s in list(range(-2, total + 3)) + [10 * total + 7]:
-            expect = n + 1 if s < 0 else _first_at_most_naive(a, s)
+            expect = (n + 1, 0) if s < 0 else _first_at_most_naive(a, s)
             assert fen.first_at_most(s) == expect, (a, s)
 
 
 def test_first_at_most_edges():
     fen = SuffixFenwick([4])
-    assert [fen.first_at_most(s) for s in (-1, 0, 3, 4, 9)] == [2, 2, 2, 1, 1]
+    assert [fen.first_at_most(s) for s in (-1, 0, 3, 4, 9)] == [(2, 0), (2, 0), (2, 0),
+                                                                  (1, 4), (1, 4)]
     fen = SuffixFenwick([0, 0, 0])
-    assert fen.first_at_most(0) == 1
-    assert SuffixFenwick([]).first_at_most(0) == 1
+    assert fen.first_at_most(0) == (1, 0)
+    assert SuffixFenwick([]).first_at_most(0) == (1, 0)
 
 
 def test_first_at_most_after_updates():

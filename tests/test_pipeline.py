@@ -426,6 +426,25 @@ def test_out_of_range_partition_rank_raises_codec_error(monkeypatch, sigma, shif
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_huge_checkpoint_raises_codec_error(monkeypatch):
+    # A checkpoint of 2**40 costs a few bytes of stream; the decoder must
+    # refuse it before building any product from it.
+    import lwcg.pipeline as pipeline
+    g = gen_synthetic(300, 3.0, 1, 1, 71)  # one simple partition graph
+    s_encode = pipeline.s_encode
+
+    def bad_s_encode(inst):
+        f, cps = s_encode(inst)
+        assert len(cps) > 1 and cps[1]  # the root split stores a checkpoint
+        return f, [0, 1 << 40] + list(cps[2:])
+
+    monkeypatch.setattr(pipeline, "s_encode", bad_s_encode)
+    data = encode_marked_graph(g, 1, 20)
+    monkeypatch.undo()
+    with pytest.raises(CodecError, match="checkpoint 1 "):
+        decode_marked_graph(data)
+
+
 def channel_spans(monkeypatch, g, h, delta):
     """Encode g; return the stream and the bit spans [start, end) of its
     star-edge channel and of its vertex-type dictionary."""

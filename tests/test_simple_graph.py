@@ -3,10 +3,13 @@ from itertools import combinations
 
 import pytest
 
+import lwcg.simple_graph as simple_graph
+from lwcg.fenwick import SuffixFenwick
 from lwcg.intmath import ceil_div, double_factorial_ratio, prod_factorial
 from lwcg.simple_graph import (
     SimpleInstance,
     checkpoint_len,
+    checkpoint_tree,
     s_configuration_count,
     s_count_oracle,
     s_decode,
@@ -261,3 +264,84 @@ def test_bad_checkpoints_raise_value_error():
     broken[1] += 1  # odd residual count
     with pytest.raises(ValueError):
         s_decode(f, broken, inst.a)
+
+
+def checkpoint_nodes(pn, cps):
+    """(x, s_{k+1}, s_{j+1}) for each checkpoint node x, k its split, in
+    the order the decoder's recursion visits them."""
+    thr = split_threshold(pn)
+    out = []
+
+    def walk(x, i, j, s_j1):
+        if j - i + 1 <= thr:
+            return
+        k = (i + j) // 2
+        out.append((x, cps[x], s_j1))
+        walk(2 * x, i, k, cps[x])
+        walk(2 * x + 1, k + 1, j, s_j1)
+
+    walk(1, 1, pn, 0)
+    return out
+
+
+@pytest.mark.parametrize("pn, m", [(1500, 6000), (3000, 9000)])
+def test_checkpoint_ratios_match_double_factorial_ratio(pn, m):
+    rng = random.Random(pn + 7)
+    for _ in range(3):
+        inst = sparse_instance(rng, pn, 20, m)
+        _, cps = s_encode(inst)
+        nodes = checkpoint_nodes(pn, cps)
+        assert max(x for x, _, _ in nodes).bit_length() >= 4  # four levels or more
+        tree = [None] * (2 * len(cps) + 2)
+        checkpoint_tree(cps, split_threshold(pn), tree, 1, 1, pn, sum(inst.a), 0, False)
+        for x, s_k1, s_j1 in nodes:
+            assert tree[2 * x + 1] == double_factorial_ratio(s_k1, s_j1), x
+        right = {2 * x + 1 for x, _, _ in nodes}
+        assert all(r is None for y, r in enumerate(tree) if y not in right)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls to owner.name; returns the list of argument tuples."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_decoder_asks_for_one_suffix_sum_per_chain(monkeypatch):
+    # The neighbor search carries its residual sums forward; only each
+    # chain head asks the Fenwick tree for one.
+    rng = random.Random(38)
+    cases = [sparse_instance(rng, pn, 20, 4 * pn) for pn in (200, 1500)]
+    cases += [random_instance(rng) for _ in range(50)]
+    for inst in cases:
+        f, cps = s_encode(inst)
+        calls = count_calls(monkeypatch, SuffixFenwick, "suffix_sum")
+        assert s_decode(f, cps, inst.a) == inst.fwd
+        monkeypatch.undo()
+        thr = split_threshold(inst.pn)
+        chains = len(checkpoint_nodes(inst.pn, cps)) + 1 if inst.pn > thr else 1
+        assert len(calls) <= chains
+
+
+@pytest.mark.parametrize("which", ["root", "deepest"])
+def test_huge_checkpoint_raises_before_any_large_product(monkeypatch, which):
+    # An Elias-delta checkpoint of 2**40 costs a few bytes; no product may
+    # be built from it.  400 vertices, 1,690 half-edges.
+    rng = random.Random(39)
+    inst = sparse_instance(rng, 400, 20, 800)
+    f, cps = s_encode(inst)
+    nodes = checkpoint_nodes(inst.pn, cps)
+    x = nodes[0][0] if which == "root" else max(nodes)[0]
+    broken = list(cps)
+    broken[x] = 1 << 40
+    calls = count_calls(monkeypatch, simple_graph, "compute_product")
+    with pytest.raises(ValueError) as info:
+        s_decode(f, broken, inst.a)
+    assert max((k for _, k, _ in calls), default=0) <= sum(inst.a)
+    assert str(info.value).startswith(f"checkpoint {x} is {1 << 40}")

@@ -3,26 +3,25 @@
 A graph with left degrees a and right degrees b is mapped to the integer
 f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
-a divide-and-conquer recursion over intervals of left vertices; decoding
-inverts it with interval proxies.  It carries the residual half-edge
-count forward from s_i, the left degree sum from i on, and finds each
-neighbor by at most one Fenwick descent to a threshold on that count.
-The interval ratios depend on the left degrees alone, so one product
-tree built bottom-up from binomials holds them all.  From
-WIDE_SPAN vertices on, both directions multiply by `mul` and the decoder
-divides by `floor_div`; narrower intervals use the inline operators.
+the divide-and-conquer recursion of `ranking` over intervals of left
+vertices, decoded with interval proxies; this module supplies its
+per-vertex terms.  The decoder carries the residual half-edge count
+forward from s_i, the left degree sum from i on, and finds each neighbor
+by at most one Fenwick descent to a threshold on that count.  The
+interval ratios depend on the left degrees alone, so one product tree
+built bottom-up from binomials holds them all.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb, factorial
 
+from . import ranking
 from .fenwick import SuffixFenwick
-from .intmath import (ONE, WIDE_SPAN, ZERO, ceil_div, compute_product, falling_threshold,
-                      floor_div, mpz, mul, prod_factorial)
+from .intmath import (ONE, ZERO, binomial, ceil_div, compute_product, falling_threshold, mpz,
+                      mul, prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -62,54 +61,20 @@ class BipartiteInstance:
 
 
 def ratio_tree(a, spine: bool = False) -> list:
-    """Interval ratios of the left degrees a, heap-indexed from node 1.
-
-    Node 1 is the interval [1, len(a)] and node x over [i, j] has children
-    2x over [i, k] and 2x+1 over [k+1, j], k = (i+j)//2, as the recursion
-    splits.  With s_p the left degree sum from p on, the ratio of [i, j] is
-    (s_i)_{s_i - s_{j+1}} / prod(a_p!) = prod C(s_p, a_p) over p in [i, j]:
-    leaves are binomials and each internal node is the product of its
-    children, so no division is needed.  The rank recursions read only
-    right children, so the left spine (nodes 1, 2, 4, ..., the largest
-    products) is left None unless spine is true.
-    """
-    n = len(a)
-    leaf = [ONE] * (n + 1)
-    s = 0
-    for p in range(n, 0, -1):
-        s += a[p - 1]
-        leaf[p] = mpz(comb(s, a[p - 1]))
-    tree = [None] * (4 * n)
-    _fill(tree, leaf, 1, 1, n, spine)
-    return tree
+    """`ranking.ratio_tree` of the left degrees a.  With s_p the left degree
+    sum from p on, the ratio of [i, j] is (s_i)_{s_i - s_{j+1}} / prod(a_p!)
+    = prod C(s_p, a_p) over p in [i, j], so the leaves are binomials."""
+    suf = list(accumulate(reversed(a), initial=0))[::-1]  # s_p = suf[p - 1]
+    return ranking.ratio_tree(len(a), 1, lambda i, _: binomial(suf[i - 1], a[i - 1]), spine)
 
 
-def _fill(tree, leaf, x, i, j, need):
-    """Fill node x's subtree; node x's own product only when need is true."""
-    if i == j:
-        r = leaf[i]
-    else:
-        k = (i + j) // 2
-        right = _fill(tree, leaf, 2 * x + 1, k + 1, j, True)
-        left = _fill(tree, leaf, 2 * x, i, k, need)
-        if not need:
-            r = None
-        elif j - i < WIDE_SPAN:
-            r = left * right
-        else:
-            r = mul(left, right)
-    tree[x] = r
-    return r
+def _count(inst: BipartiteInstance, tree, trace):
+    """(N, l) of the whole instance by `ranking.count`."""
+    a, adj = inst.a, inst.adj
+    bres = [0] + [int(x) for x in inst.b]  # residual right degrees
+    fen = SuffixFenwick(list(inst.b))
 
-
-def _compute_n(a, adj, bres, fen, tree, x, i, j, trace):
-    """Configuration count and l-product for left interval [i, j], node x.
-
-    bres and fen hold the residual right degrees for the prefix before i;
-    both are advanced to the state after j.  Returns (N_ij, l_ij).  When a
-    trace list is given, (i, j, N_ij, l_ij, r_ij) is appended per interval.
-    """
-    if i == j:
+    def leaf(i):
         z = ZERO
         l = ONE
         ai = a[i - 1]
@@ -122,30 +87,14 @@ def _compute_n(a, adj, bres, fen, tree, x, i, j, trace):
             l *= bres[w]
             fen.add(w, -1)
             bres[w] -= 1
-        n_ij, l_ij = z, l
-    else:
-        k = (i + j) // 2
-        n_ik, l_ik = _compute_n(a, adj, bres, fen, tree, 2 * x, i, k, trace)
-        n_kj, l_kj = _compute_n(a, adj, bres, fen, tree, 2 * x + 1, k + 1, j, trace)
-        r = tree[2 * x + 1]
-        if j - i < WIDE_SPAN:
-            n_ij = n_ik * r + l_ik * n_kj
-            l_ij = l_ik * l_kj
-        else:
-            n_ij = mul(n_ik, r) + mul(l_ik, n_kj)
-            l_ij = mul(l_ik, l_kj)
-    if trace is not None:
-        trace.append((i, j, n_ij, l_ij, tree[x]))
-    return n_ij, l_ij
+        return z, l
+
+    return ranking.count(leaf, tree, 1, 1, inst.n_l, trace)
 
 
 def b_configuration_count(inst: BipartiteInstance, trace=None):
     """N(G): configurations lexicographically below the graph's rows."""
-    bres = [0] + [int(x) for x in inst.b]
-    fen = SuffixFenwick(list(inst.b))
-    tree = ratio_tree(inst.a, spine=trace is not None)
-    n, _ = _compute_n(inst.a, inst.adj, bres, fen, tree, 1, 1, inst.n_l, trace)
-    return n
+    return _count(inst, ratio_tree(inst.a, spine=trace is not None), trace)[0]
 
 
 def b_encode(inst: BipartiteInstance, tree=None):
@@ -155,11 +104,9 @@ def b_encode(inst: BipartiteInstance, tree=None):
     """
     if inst.n_l == 0 or inst.n_r == 1:  # at most one graph: rank 0
         return ZERO
-    bres = [0] + [int(x) for x in inst.b]
-    fen = SuffixFenwick(list(inst.b))
     if tree is None:
         tree = ratio_tree(inst.a)
-    n, l = _compute_n(inst.a, inst.adj, bres, fen, tree, 1, 1, inst.n_l, None)
+    n, l = _count(inst, tree, None)
     # l equals prod(b_j!) once the whole interval is consumed.
     return ceil_div(n, l)
 
@@ -203,26 +150,6 @@ def _decode_node(suf, bres, fen, i, n_r, ntilde):
     return z, neigh, l
 
 
-_INLINE = (operator.mul, operator.floordiv)
-_WIDE = (mul, floor_div)
-
-
-def _decode_interval(suf, bres, fen, tree, x, i, j, n_r, ntilde, out):
-    """Decode left vertices [i, j] at tree node x; returns (N_ij, l_ij)."""
-    if i == j:
-        n_ii, neigh, l = _decode_node(suf, bres, fen, i, n_r, ntilde)
-        out[i - 1] = tuple(neigh)
-        return n_ii, l
-    k = (i + j) // 2
-    r = tree[2 * x + 1]
-    times, div = _INLINE if j - i < WIDE_SPAN else _WIDE
-    n_ik, l_ik = _decode_interval(suf, bres, fen, tree, 2 * x, i, k, n_r, div(ntilde, r), out)
-    p = times(n_ik, r)
-    n_kj, l_kj = _decode_interval(suf, bres, fen, tree, 2 * x + 1, k + 1, j, n_r,
-                                  div(ntilde - p, l_ik), out)
-    return p + times(l_ik, n_kj), times(l_ik, l_kj)
-
-
 def b_decode(f, a, b, tree=None) -> tuple:
     """Inverse of b_encode given the two degree sequences.
 
@@ -246,7 +173,13 @@ def b_decode(f, a, b, tree=None) -> tuple:
     out = [()] * n_l
     if tree is None:
         tree = ratio_tree(a)
-    _decode_interval(suf, bres, fen, tree, 1, 1, n_l, n_r, ntilde, out)
+
+    def leaf(i, _, ntilde):
+        n_ii, neigh, l = _decode_node(suf, bres, fen, i, n_r, ntilde)
+        out[i - 1] = tuple(neigh)
+        return n_ii, l
+
+    ranking.decode(leaf, tree, 1, 1, 1, n_l, ntilde)
     return tuple(out)
 
 

@@ -128,9 +128,9 @@ _FFT_CUTOFF = 40_000
 # or when the error passes 1/4, 8-bit digits keep it near 1e-4 at twice
 # the transform length.
 _FFT16_MAX_BITS = 1 << 22
-# Interval width below which the rank recursions multiply and divide
-# inline: their numbers stay under the FFT and division cutoffs there, so
-# calling mul or floor_divmod would only add per-node call overhead.
+# Interval width below which `ranking`, its only reader, multiplies and
+# divides inline: numbers stay under the FFT and division cutoffs there,
+# so calling mul or floor_divmod would only add per-node call overhead.
 WIDE_SPAN = 1024
 _CHECK_PRIME = (1 << 64) - 59
 

@@ -27,7 +27,7 @@ from .bits import BitReader, BitWriter, CodecError, width
 from .edge_types import EdgeTypeTable, extract_types
 from .graph_model import EdgeListGraph, GraphFormatError, NeighborListGraph, preprocess
 from .sequences import decode_sequence, encode_sequence
-from .simple_graph import SimpleInstance, s_decode, s_encode
+from .simple_graph import SimpleInstance, checkpoint_len, s_decode, s_encode
 
 MAGIC = b"LWCG"
 VERSION = 1
@@ -354,11 +354,10 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
         f = reader.read_elias_delta() - 1
         if i == ip:
             ln = reader.read_elias_delta() - 1
-            if ln > reader.remaining():
-                raise CodecError("checkpoint count exceeds remaining stream")
-            cps = [0] * (ln + 1)
-            for j in range(1, ln + 1):
-                cps[j] = reader.read_elias_delta() - 1
+            pn = len(partition_deg[(i, i)])
+            if pn < 2 or ln != checkpoint_len(pn):
+                raise CodecError(f"partition ({i},{i}): {ln} checkpoints for {pn} vertices")
+            cps = [0] + [reader.read_elias_delta() - 1 for _ in range(ln)]
         try:
             if i < ip:
                 adj = b_decode(f, tuple(partition_deg[(i, ip)]),

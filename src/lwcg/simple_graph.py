@@ -1,28 +1,27 @@
 """Rank/unrank simple unmarked graphs with a prescribed degree sequence.
 
 The rank f counts half-edge matchings whose adjacency vector precedes the
-graph's (upper-triangular, row-major), divided by prod(a_v!).  The encoder
-builds each interval ratio bottom-up as the product of its halves'.
-Alongside f it emits a checkpoint array of residual half-edge totals at the
-midpoints of large recursion intervals; the decoder needs those to split
-its proxy counts without re-walking the prefix.  It caps each checkpoint
-by its parent's bounds, then builds their ratios as one product tree over
-the segments they bound.  Below the checkpoint threshold it walks a chain
-of vertices, carrying the interval ratio forward by exact division and
-the residual half-edge count from the head's one suffix sum; each neighbor
-takes at most one Fenwick descent to a threshold on that count.  Both
-directions multiply by `mul` at their wide levels, and the decoder divides
-by `floor_div` at its checkpoint levels.
+graph's (upper-triangular, row-major), divided by prod(a_v!), by the
+`ranking` recursion; an interval's ratio is (s_i - 1)!! / (s_{j+1} - 1)!!,
+s_i the half-edges left on entry to i.  The encoder also emits s_{k+1} at
+the split k of each interval over `split_threshold` vertices: the
+checkpoints, which bound the segments the decoder builds its ratio tree
+over, since it learns a forward degree only by decoding the vertex.  In
+a segment it carries the ratio forward by exact division and the
+residual half-edge count from the head's one suffix sum; each neighbor
+takes at most one Fenwick descent to a threshold on that count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
+from . import ranking
 from .fenwick import SuffixFenwick
-from .intmath import (ONE, WIDE_SPAN, ZERO, ceil_div, compute_product, falling_threshold,
-                      floor_div, mpz, mul, prod_factorial)
+from .intmath import (ONE, ZERO, ceil_div, compute_product, double_factorial_ratio,
+                      falling_threshold, mpz, mul, prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -65,22 +64,22 @@ def checkpoint_len(pn: int) -> int:
     return int(16 * pn / math.log(pn) ** 2)
 
 
-def _compute_n(a, fwd, ares, fen, i, j, index, cps, thr, trace):
-    """N, l and the interval ratio for vertex interval [i, j].
+def _count(inst: SimpleInstance, spine: bool, trace):
+    """(N, l, checkpoints) of the whole instance by `ranking.count`."""
+    pn, fwd = inst.pn, inst.fwd
+    s = [0, *accumulate((-2 * len(neigh) for neigh in fwd), initial=sum(inst.a))]
+    tree = ranking.ratio_tree(pn, 1, lambda i, j: double_factorial_ratio(s[i], s[j + 1]), spine)
+    cps = [0] * (checkpoint_len(pn) + 1)
+    for x, i, j in ranking.split_nodes(pn, split_threshold(pn)):
+        cps[x] = s[(i + j) // 2 + 1]
+    ares = [0] + [int(x) for x in inst.a]  # residual degrees
+    fen = SuffixFenwick(list(inst.a))
 
-    The ratio is r_ij = (s_i - 1)!! / (s_{j+1} - 1)!!, s_i being the
-    half-edges left on entry to i.  A vertex with ahat forward edges
-    removes 2 ahat of them, so a leaf's ratio is the ahat-term stride-2
-    product from s_i - 1, and an internal node's is the product of its
-    children's.  Fills checkpoints along the way.  When a trace list is
-    given, (i, j, N_ij, l_ij, r_ij) is appended per interval visited.
-    """
-    if i == j:
+    def leaf(i):
         z = ZERO
         l = ONE
         ahat = ares[i]
         neigh = fwd[i - 1]
-        r_ij = compute_product(fen.suffix_sum(i) - 1, ahat, 2)
         for k in range(ahat):
             w = neigh[k]
             y = compute_product(fen.suffix_sum(1 + w), ahat - k, 1)
@@ -90,45 +89,19 @@ def _compute_n(a, fwd, ares, fen, i, j, index, cps, thr, trace):
             l *= c
             ares[w] -= 1
             fen.add(w, -1)
-        n_ij, l_ij = z, l
-    else:
-        k = (i + j) // 2
-        n_ik, l_ik, r_ik = _compute_n(a, fwd, ares, fen, i, k, 2 * index, cps, thr, trace)
-        if j - i + 1 > thr:
-            cps[index] = fen.suffix_sum(k + 1)
-        n_kj, l_kj, r_kj = _compute_n(a, fwd, ares, fen, k + 1, j, 2 * index + 1,
-                                      cps, thr, trace)
-        if j - i < WIDE_SPAN:
-            n_ij = n_ik * r_kj + l_ik * n_kj
-            l_ij = l_ik * l_kj
-            r_ij = r_ik * r_kj
-        else:
-            n_ij = mul(n_ik, r_kj) + mul(l_ik, n_kj)
-            l_ij = mul(l_ik, l_kj)
-            r_ij = mul(r_ik, r_kj)
-    if trace is not None:
-        trace.append((i, j, n_ij, l_ij, r_ij))
-    return n_ij, l_ij, r_ij
+        return z, l
+
+    return (*ranking.count(leaf, tree, 1, 1, pn, trace), cps)
 
 
 def s_configuration_count(inst: SimpleInstance, trace=None):
     """N(G): matchings of half-edges lexicographically below the graph."""
-    ares = [0] + [int(x) for x in inst.a]
-    fen = SuffixFenwick(list(inst.a))
-    cps = [0] * (checkpoint_len(inst.pn) + 1)
-    n, _, _ = _compute_n(inst.a, inst.fwd, ares, fen, 1, inst.pn, 1,
-                         cps, split_threshold(inst.pn), trace)
-    return n
+    return _count(inst, trace is not None, trace)[0]
 
 
 def s_encode(inst: SimpleInstance):
     """Rank the graph; returns (f, checkpoints) with checkpoints 1-based."""
-    pn = inst.pn
-    ares = [0] + [int(x) for x in inst.a]
-    fen = SuffixFenwick(list(inst.a))
-    cps = [0] * (checkpoint_len(pn) + 1)
-    n, l, _ = _compute_n(inst.a, inst.fwd, ares, fen, 1, pn, 1,
-                         cps, split_threshold(pn), None)
+    n, l, cps = _count(inst, False, None)
     return ceil_div(n, l), cps
 
 
@@ -206,42 +179,28 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
     return n_ij, l_ij
 
 
-def checkpoint_tree(cps, thr, tree, x, i, j, s_i, s_j1, need):
-    """Check the checkpoints under node x over [i, j]; fill tree if given.
+def checkpoint_tree(cps, a):
+    """({p: s_p} at the segment ends, the decoder's ratio tree).
 
-    Node x's checkpoint s_{k+1} = cps[x], k = (i+j)//2, must be an even
-    count in [s_{j+1}, s_i], so every one is capped by s_1, the degree sum.
-    tree[y] becomes right child y's ratio (s_{k+1} - 1)!! / (s_{j+1} - 1)!!:
-    one strided product per chain segment, the children's product above.
-    Returns node x's own ratio when need is true (never for the left spine).
+    Split node x over [i, j] stores s_{k+1} = cps[x], which must be an even
+    count in [s_{j+1}, s_i], so s_1, the degree sum, caps them all; every
+    other slot must be 0.  All are checked before any product is built.
     """
-    if j - i + 1 <= thr:
-        return compute_product(s_i - 1, (s_i - s_j1) // 2, 2) if need else None
-    if x >= len(cps):
-        raise ValueError(f"checkpoint {x} missing: only {len(cps) - 1} given")
-    k = (i + j) // 2
-    s_k1 = cps[x]
-    if not s_j1 <= s_k1 <= s_i or (s_k1 - s_j1) % 2:
-        raise ValueError(f"checkpoint {x} is {s_k1}, not an even count in [{s_j1}, {s_i}]")
-    right = checkpoint_tree(cps, thr, tree, 2 * x + 1, k + 1, j, s_k1, s_j1, tree is not None)
-    left = checkpoint_tree(cps, thr, tree, 2 * x, i, k, s_i, s_k1, need)
-    if tree is not None:
-        tree[2 * x + 1] = right
-    return mul(left, right) if need else None
-
-
-def _decode_interval(ares, fen, i, j, pn, ntilde, index, s_j1, cps, tree, out):
-    if j - i + 1 <= split_threshold(pn):
-        return _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out)
-    k = (i + j) // 2
-    s_k1 = cps[index]
-    r = tree[2 * index + 1]
-    n_ik, l_ik = _decode_interval(ares, fen, i, k, pn, floor_div(ntilde, r),
-                                  2 * index, s_k1, cps, tree, out)
-    p = mul(n_ik, r)
-    n_kj, l_kj = _decode_interval(ares, fen, k + 1, j, pn, floor_div(ntilde - p, l_ik),
-                                  2 * index + 1, s_j1, cps, tree, out)
-    return p + mul(l_ik, n_kj), mul(l_ik, l_kj)
+    pn = len(a)
+    thr = split_threshold(pn)
+    s = {1: sum(a), pn + 1: 0}
+    rest = list(cps)
+    for x, i, j in ranking.split_nodes(pn, thr):
+        if x >= len(cps):
+            raise ValueError(f"checkpoint {x} missing: only {len(cps) - 1} given")
+        s_k1, s_i, s_j1 = cps[x], s[i], s[j + 1]
+        if not s_j1 <= s_k1 <= s_i or (s_k1 - s_j1) % 2:
+            raise ValueError(f"checkpoint {x} is {s_k1}, not an even count in [{s_j1}, {s_i}]")
+        s[(i + j) // 2 + 1] = s_k1
+        rest[x] = 0
+    if any(rest[1:]):
+        raise ValueError("a checkpoint is set where no split stores one")
+    return s, ranking.ratio_tree(pn, thr, lambda i, j: double_factorial_ratio(s[i], s[j + 1]))
 
 
 def s_decode(f, cps, a) -> tuple:
@@ -249,14 +208,16 @@ def s_decode(f, cps, a) -> tuple:
     pn = len(a)
     if pn < 2:
         raise ValueError("need at least two vertices")
-    tree = [None] * (2 * len(cps) + 2)
-    for out in (None, tree):  # check every checkpoint before any product
-        checkpoint_tree(cps, split_threshold(pn), out, 1, 1, pn, sum(a), 0, False)
+    s, tree = checkpoint_tree(cps, a)
     ntilde = mul(mpz(f), prod_factorial(a, 1, pn))
     ares = [0] + [int(x) for x in a] + [0]
     fen = SuffixFenwick(list(a))
     out = [()] * pn
-    _decode_interval(ares, fen, 1, pn, pn, ntilde, 1, 0, cps, tree, out)
+
+    def leaf(i, j, ntilde):
+        return _decode_chain(ares, fen, i, j, pn, ntilde, s[j + 1], out)
+
+    ranking.decode(leaf, tree, split_threshold(pn), 1, 1, pn, ntilde)
     return tuple(out)
 
 

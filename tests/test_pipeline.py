@@ -445,6 +445,27 @@ def test_huge_checkpoint_raises_codec_error(monkeypatch):
         decode_marked_graph(data)
 
 
+@pytest.mark.parametrize("variant", ["drop last", "append 0", "append 5, 7"])
+def test_checkpoint_arrays_the_encoder_never_writes_raise_codec_error(monkeypatch, variant):
+    # One slot short, one zero slot too many, or two nonzero slots too
+    # many: each used to decode back to the input graph.
+    import lwcg.pipeline as pipeline
+    g = gen_synthetic(300, 3.0, 1, 1, 71)  # one simple partition graph
+    s_encode = pipeline.s_encode
+    change = {"drop last": lambda cps: cps[:-1], "append 0": lambda cps: cps + [0],
+              "append 5, 7": lambda cps: cps + [5, 7]}[variant]
+
+    def bad_s_encode(inst):
+        f, cps = s_encode(inst)
+        return f, change(list(cps))
+
+    monkeypatch.setattr(pipeline, "s_encode", bad_s_encode)
+    data = encode_marked_graph(g, 1, 20)
+    monkeypatch.undo()
+    with pytest.raises(CodecError, match="checkpoints for"):
+        decode_marked_graph(data)
+
+
 def channel_spans(monkeypatch, g, h, delta):
     """Encode g; return the stream and the bit spans [start, end) of its
     star-edge channel and of its vertex-type dictionary."""

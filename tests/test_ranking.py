@@ -1,0 +1,59 @@
+"""The divide-and-conquer driver shared by the rank codecs."""
+
+import pytest
+
+from lwcg.ranking import ratio_tree, split_nodes
+from lwcg.simple_graph import checkpoint_len, split_threshold
+
+
+def reference_split_nodes(n, thr):
+    """Nodes over more than thr vertices, by the recursion's own walk."""
+    out = []
+
+    def walk(x, i, j):
+        if j - i + 1 > thr:
+            out.append((x, i, j))
+            k = (i + j) // 2
+            walk(2 * x, i, k)
+            walk(2 * x + 1, k + 1, j)
+
+    walk(1, 1, n)
+    return out
+
+
+def test_split_nodes_are_the_wide_nodes_parents_first():
+    for n in range(1, 130):
+        for thr in range(1, 12):
+            nodes = list(split_nodes(n, thr))
+            assert nodes == reference_split_nodes(n, thr), (n, thr)
+            seen = {0}  # node 1's parent
+            for x, _, _ in nodes:
+                assert x // 2 in seen
+                seen.add(x)
+
+
+@pytest.mark.parametrize("sizes", [range(2, 20_001), [10**5, 10**6 + 3, 4 * 10**6 + 1, 10**7]])
+def test_checkpoint_slots_cover_every_split(sizes):
+    # The encoder writes cps[x] for each split node x, into
+    # checkpoint_len(pn) + 1 slots.
+    for pn in sizes:
+        top = max((x for x, _, _ in split_nodes(pn, split_threshold(pn))), default=0)
+        assert top <= checkpoint_len(pn), pn
+
+
+def test_ratio_tree_multiplies_leaves_up_to_the_spine():
+    # With leaf(i, j) = 2**(j - i + 1), node x over [i, j] must be the same.
+    for n in range(1, 150):
+        for thr in (1, 2, 3, 7, 16):
+            full = ratio_tree(n, thr, lambda i, j: 2 ** (j - i + 1), spine=True)
+            lean = ratio_tree(n, thr, lambda i, j: 2 ** (j - i + 1))
+            inner = {x for x, _, _ in split_nodes(n, thr)}
+            stack = [(1, 1, n)]
+            while stack:
+                x, i, j = stack.pop()
+                assert full[x] == 2 ** (j - i + 1), (n, thr, x)
+                on_spine = x & (x - 1) == 0
+                assert lean[x] == (None if on_spine and x in inner else full[x])
+                if x in inner:
+                    k = (i + j) // 2
+                    stack += [(2 * x, i, k), (2 * x + 1, k + 1, j)]

@@ -266,6 +266,18 @@ def test_bad_checkpoints_raise_value_error():
         s_decode(f, broken, inst.a)
 
 
+def test_checkpoint_in_a_slot_no_split_uses_raises_value_error():
+    rng = random.Random(37)
+    inst = sparse_instance(rng, 200, 20, 900)
+    f, cps = s_encode(inst)
+    assert s_decode(f, list(cps) + [0], inst.a) == inst.fwd  # zero filler is harmless
+    used = {x for x, _, _ in checkpoint_nodes(inst.pn, cps)}
+    spare = next(x for x in range(1, len(cps)) if x not in used)
+    for broken in (list(cps) + [5], cps[:spare] + [2] + cps[spare + 1:]):
+        with pytest.raises(ValueError, match="where no split stores one"):
+            s_decode(f, broken, inst.a)
+
+
 def checkpoint_nodes(pn, cps):
     """(x, s_{k+1}, s_{j+1}) for each checkpoint node x, k its split, in
     the order the decoder's recursion visits them."""
@@ -292,12 +304,11 @@ def test_checkpoint_ratios_match_double_factorial_ratio(pn, m):
         _, cps = s_encode(inst)
         nodes = checkpoint_nodes(pn, cps)
         assert max(x for x, _, _ in nodes).bit_length() >= 4  # four levels or more
-        tree = [None] * (2 * len(cps) + 2)
-        checkpoint_tree(cps, split_threshold(pn), tree, 1, 1, pn, sum(inst.a), 0, False)
+        _, tree = checkpoint_tree(cps, inst.a)
         for x, s_k1, s_j1 in nodes:
             assert tree[2 * x + 1] == double_factorial_ratio(s_k1, s_j1), x
-        right = {2 * x + 1 for x, _, _ in nodes}
-        assert all(r is None for y, r in enumerate(tree) if y not in right)
+        # The decoder reads right children only; the left spine is never built.
+        assert all(tree[x] is None for x, _, _ in nodes if x & (x - 1) == 0)
 
 
 def count_calls(monkeypatch, owner, name):

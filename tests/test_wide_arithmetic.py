@@ -10,9 +10,8 @@ the default cutoffs, on out-of-range ranks too.
 import random
 from collections import Counter
 
-import lwcg.bipartite as bipartite
 import lwcg.intmath as intmath
-import lwcg.simple_graph as simple_graph
+import lwcg.ranking as ranking
 from lwcg.bipartite import BipartiteInstance, b_decode, b_encode
 from lwcg.bits import BitReader, BitWriter
 from lwcg.sequences import decode_sequence, encode_sequence
@@ -103,8 +102,7 @@ def test_wide_paths_match_default_cutoffs(monkeypatch):
 
     monkeypatch.setattr(intmath, "_FFT_CUTOFF", 300)
     monkeypatch.setattr(intmath, "_DIV_CUTOFF", 200)
-    monkeypatch.setattr(bipartite, "WIDE_SPAN", 4)
-    monkeypatch.setattr(simple_graph, "WIDE_SPAN", 4)
+    monkeypatch.setattr(ranking, "WIDE_SPAN", 4)
     calls = Counter()
     for name in ("_fft_mul", "_div_3n_2n"):
         def counted(*args, _name=name, _original=getattr(intmath, name)):

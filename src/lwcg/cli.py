@@ -24,6 +24,12 @@ def _report(n: int, m: int, nbytes: int) -> str:
     return f"n={n} m={m} bytes={nbytes} bpl={bpl} l_n={ln:.4f}"
 
 
+def _same_graph(a, b) -> bool:
+    """Whether a round trip kept n, both alphabets, theta and the edges."""
+    return (a.n == b.n and a.sigma_e == b.sigma_e and a.sigma_v == b.sigma_v
+            and a.theta == b.theta and canonical_edges(a) == canonical_edges(b))
+
+
 def cmd_compress(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         g = parse_edge_list(fh.read())
@@ -64,9 +70,7 @@ def cmd_verify(args) -> int:
         g = parse_edge_list(fh.read())
     decoded = pipeline.decode_marked_graph(
         pipeline.encode_marked_graph(g, args.h, args.delta))
-    ok = (decoded.n == g.n and decoded.sigma_e == g.sigma_e
-          and decoded.sigma_v == g.sigma_v and decoded.theta == g.theta
-          and canonical_edges(decoded) == canonical_edges(g))
+    ok = _same_graph(decoded, g)
     print("verify: OK" if ok else "verify: MISMATCH")
     return 0 if ok else 1
 
@@ -90,7 +94,7 @@ def cmd_sweep(args) -> int:
             t0 = time.perf_counter()
             decoded = pipeline.decode_marked_graph(data)
             t_dec = time.perf_counter() - t0
-            if canonical_edges(decoded) != canonical_edges(g) or decoded.theta != g.theta:
+            if not _same_graph(decoded, g):
                 print(f"round trip FAILED at n={n} delta={delta}", file=sys.stderr)
                 return 1
             ln = _normalized_length(g.n, g.m, len(data))

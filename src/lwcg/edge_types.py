@@ -39,8 +39,8 @@ class EdgeTypeTable:
     c: tuple
 
     def is_star_edge(self, v: int, i: int) -> bool:
-        t, tp = self.c[v][i]
-        return self.t_is_star[t] == 1 or self.t_is_star[tp] == 1
+        # Symmetrization stars both sides of an edge or neither.
+        return self.t_is_star[self.c[v][i][0]] == 1
 
 
 class _LabelState:

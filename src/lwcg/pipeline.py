@@ -15,6 +15,10 @@ Wire layout (MSB-first bits, zero-padded to a byte boundary at the end):
       i == i': ED(1+f) ED(1+len) ED(1+cp_j) (simple rank + checkpoints)
 
 ED is the Elias delta code; width(x) = 1 + floor(log2(max(x, 1))).
+
+A vertex's type is its mark plus its degree profile (non-star edges per
+label pair); decoded vertices of one type share one profile.  Profiles fix
+the partition tables, and both sides build them with one grouping.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ def find_star_vertices(g: NeighborListGraph, table: EdgeTypeTable) -> list:
     s = [0] * (g.n + 1)
     is_star = table.t_is_star
     for v in range(1, g.n + 1):
-        for t, tp in table.c[v]:
-            if is_star[t] or is_star[tp]:
+        for t, _ in table.c[v]:
+            if is_star[t]:
                 s[v] = 1
                 break
     return s
@@ -59,10 +63,12 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     flag = 1 << nbits
     is_star = table.t_is_star
     star = [v for v in range(1, g.n + 1) if s[v]]
+    if not star:  # every row would be zero-width
+        return
     rows = {}  # (x, xp) -> [(position of v in star, far endpoint w), ...]
     for pos, v in enumerate(star):
-        for (t, tp), w, x, xp in zip(table.c[v], g.gamma[v], g.x[v], g.xp[v]):
-            if w > v and (is_star[t] or is_star[tp]):
+        for (t, _), w, x, xp in zip(table.c[v], g.gamma[v], g.x[v], g.xp[v]):
+            if w > v and is_star[t]:
                 rows.setdefault((x, xp), []).append((pos, w))
     fields = []  # value, width, value, width, ...
     for x in range(1, g.sigma_e + 1):
@@ -84,6 +90,8 @@ def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
     flag = 1 << nbits
     star = [v for v in range(1, n + 1) if s[v]]
     nstar = len(star)
+    if not nstar:
+        return []
     read_zeros, read_fixed = reader.read_zeros, reader.read_fixed
     edges = []
     for x in range(1, sigma_e + 1):
@@ -106,7 +114,7 @@ def find_deg(g: NeighborListGraph, table: EdgeTypeTable) -> list:
     for v in range(1, g.n + 1):
         prof = {}
         for key in table.c[v]:
-            if not (is_star[key[0]] or is_star[key[1]]):
+            if not is_star[key[0]]:
                 prof[key] = prof.get(key, 0) + 1
         deg[v] = prof
     return deg
@@ -149,38 +157,45 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
 
 
 def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount, trees=None):
-    """Inverse of encode_vertex_types; returns (theta, deg), both 1-based."""
+    """Inverse of encode_vertex_types; returns (theta, deg), both 1-based.
+    Vertices of one type share one profile dict, so deg[v] is read-only."""
     w_size = width(1 + 3 * delta)
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
     w_id = width(n)
     count = reader.read_fixed(w_id)
-    sigs = [None] * (count + 1)
+    types = [None] * (count + 1)
     for _ in range(count):
         size = reader.read_fixed(w_size)
         *sig, vid = reader.read_fields([w_elem] * size + [w_id])
-        sig = tuple(sig)
-        if not 1 <= vid <= count or sigs[vid] is not None:
+        if not 1 <= vid <= count or types[vid] is not None:
             raise CodecError("bad vertex-type dictionary id")
         if not sig or (len(sig) - 1) % 3:
             raise CodecError("malformed vertex-type signature")
         if not 1 <= sig[0] <= sigma_v:
             raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
-        sigs[vid] = sig
+        types[vid] = sig[0], {(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
     y = decode_sequence(n, reader, trees)
 
+    # count distinct ids in 1..count were read, so every slot is filled.
     theta = [0] * (n + 1)
     deg = [None] * (n + 1)
-    for v in range(1, n + 1):
-        vid = y[v - 1]
-        if not 1 <= vid <= count or sigs[vid] is None:
+    for v, vid in enumerate(y, 1):
+        if not 1 <= vid <= count:
             raise CodecError("vertex type id out of range")
-        sig = sigs[vid]
-        theta[v] = sig[0]
-        prof = {}
-        for k in range((len(sig) - 1) // 3):
-            prof[(sig[1 + 3 * k], sig[2 + 3 * k])] = sig[3 + 3 * k]
-        deg[v] = prof
+        theta[v], deg[v] = types[vid]
     return theta, deg
+
+
+def _partition_tables(deg, n):
+    """Degree arrays and member vertices per label pair, both in vertex
+    order: the tables the degree profiles fix, built alike on both sides."""
+    partition_deg = {}
+    members = {}
+    for v in range(1, n + 1):
+        for key, d in deg[v].items():
+            partition_deg.setdefault(key, []).append(d)
+            members.setdefault(key, []).append(v)
+    return partition_deg, members
 
 
 def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, deg):
@@ -191,24 +206,16 @@ def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, deg):
     i <= i' (bipartite lists for i < i', forward lists for i == i'), and
     each vertex's rank within its groups.
     """
-    partition_deg = {}
-    partition_index = [None] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        idx = {}
-        for key in sorted(deg[v]):
-            arr = partition_deg.get(key)
-            if arr is None:
-                partition_deg[key] = [deg[v][key]]
-                idx[key] = 1
-            else:
-                arr.append(deg[v][key])
-                idx[key] = len(arr)
-        partition_index[v] = idx
+    # Called by its private name, so a tracer that wraps
+    # decode_partition_structures times only the decoder's call.
+    partition_deg, members = _partition_tables(deg, g.n)
+    partition_index = [None] + [{} for _ in range(g.n)]
+    for key, vertices in members.items():
+        for rank, v in enumerate(vertices, 1):
+            partition_index[v][key] = rank
 
-    partition_adj = {}
-    for key, arr in partition_deg.items():
-        if key[0] <= key[1]:
-            partition_adj[key] = [[] for _ in range(len(arr))]
+    partition_adj = {key: [[] for _ in arr] for key, arr in partition_deg.items()
+                     if key[0] <= key[1]}
 
     # Each edge is listed once, from the endpoint on the i side of its key
     # (i, i'), i <= i'; within a simple partition graph (i == i') ranks
@@ -217,25 +224,14 @@ def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, deg):
     for v in range(1, g.n + 1):
         index_v = partition_index[v]
         for (i, ip), w in zip(table.c[v], g.gamma[v]):
-            if i > ip or (i == ip and w < v) or is_star[i] or is_star[ip]:
+            if i > ip or (i == ip and w < v) or is_star[i]:
                 continue
             partition_adj[(i, ip)][index_v[(i, ip)] - 1].append(partition_index[w][(ip, i)])
     return partition_deg, partition_adj, partition_index
 
 
-def decode_partition_structures(deg, n):
-    """Decoder-side tables: degree arrays plus original vertex per rank."""
-    partition_deg = {}
-    original_index = {}
-    for v in range(1, n + 1):
-        for key in sorted(deg[v]):
-            if key not in partition_deg:
-                partition_deg[key] = [deg[v][key]]
-                original_index[key] = [v]
-            else:
-                partition_deg[key].append(deg[v][key])
-                original_index[key].append(v)
-    return partition_deg, original_index
+# The decoder's tables; member lists map ranks back to original vertices.
+decode_partition_structures = _partition_tables
 
 
 def _cycle_collector_paused(fn):
@@ -366,10 +362,8 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
                 adj = s_decode(f, cps, tuple(partition_deg[(i, i)]))
         except ValueError as exc:
             raise CodecError(f"partition ({i},{ip}) rank: {exc}") from exc
-        x = t_mark[i]
-        xp = t_mark[ip]
-        back_a = original_index[(i, ip)]
-        back_b = original_index[(ip, i)]
+        x, xp = t_mark[i], t_mark[ip]
+        back_a, back_b = original_index[(i, ip)], original_index[(ip, i)]
         for p, neigh in enumerate(adj):
             vp = back_a[p]
             for q in neigh:

@@ -66,6 +66,25 @@ def test_verify_detects_mutated_decode(graph_file, monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "-H", "2", "-D", "4"],
+    ["sweep", "--sizes", "60", "--deltas", "4", "-H", "2"],
+])
+def test_round_trip_with_wrong_vertex_alphabet_fails(command, graph_file, monkeypatch):
+    # The edges and vertex marks come back right; only sigma_v is wrong.
+    real = pipeline.decode_marked_graph
+
+    def wrong_sigma_v(data):
+        g = real(data)
+        return g.__class__(n=g.n, sigma_v=g.sigma_v + 1, sigma_e=g.sigma_e,
+                           theta=g.theta, edges=g.edges)
+
+    monkeypatch.setattr(pipeline, "decode_marked_graph", wrong_sigma_v)
+    if command[0] == "verify":
+        command = command + ["-i", str(graph_file)]
+    assert cli.main(command) == 1
+
+
 def test_gen_rejects_nonpositive_lambda(tmp_path):
     with pytest.raises(ValueError):
         cli.main(["gen", "-n", "2", "--lambda", "0.0",

@@ -19,6 +19,7 @@ from lwcg.pipeline import (
     find_partition_graphs,
     find_star_vertices,
 )
+from lwcg.sequences import encode_sequence
 from lwcg.synthetic import gen_synthetic
 
 
@@ -75,6 +76,35 @@ def test_star_edges_empty_channel():
     out = BitWriter()
     encode_star_edges(nl, table, s, out)
     assert len(out) == 0
+
+
+def test_star_edge_channel_without_star_vertices_skips_the_mark_pairs(monkeypatch):
+    # Without star vertices every one of the sigma_e**2 rows is zero-width;
+    # neither side may walk them.
+    sigma_e = 3000
+    g = EdgeListGraph(n=3, sigma_v=1, sigma_e=sigma_e, theta=(1, 1, 1),
+                      edges=((1, 2, sigma_e, 1),))
+    nl = preprocess(g)
+    table = extract_types(nl, 1, 4)
+    s = find_star_vertices(nl, table)
+    assert s == [0, 0, 0, 0]
+    out = BitWriter()
+    encode_star_edges(nl, table, s, out)
+    assert len(out) == 0
+    calls = []
+    monkeypatch.setattr(BitReader, "read_zeros", lambda self, limit: calls.append(limit) or 0)
+    assert decode_star_edges(BitReader(b""), s, 3, sigma_e) == []
+    assert calls == []
+
+
+def test_huge_edge_mark_alphabet_without_stars_roundtrips():
+    g = EdgeListGraph(n=3, sigma_v=1, sigma_e=1 << 16, theta=(1, 1, 1),
+                      edges=((1, 2, 1, 1),))
+    data = encode_marked_graph(g, 1, 4)
+    assert len(data) == 39
+    decoded = decode_marked_graph(data)
+    assert decoded.sigma_e == 1 << 16
+    assert canonical_edges(decoded) == canonical_edges(g)
 
 
 def test_star_edges_roundtrip_random():
@@ -183,6 +213,38 @@ def test_vertex_types_roundtrip_random():
                                           g.sigma_e, g.sigma_v, table.tcount)
         assert theta[1:] == list(nl.theta[1:])
         assert deg2[1:] == deg[1:]
+
+
+def vertex_type_block(entries, y):
+    """A hand-built vertex-type block for n=4, delta=2, sigma_e=1,
+    sigma_v=2, tcount=1: the dictionary entries (signature, id) laid out
+    as encode_vertex_types writes them, then the id sequence y."""
+    out = BitWriter()
+    w_size, w_elem, w_id = width(1 + 3 * 2), width(2), width(4)
+    out.write_fixed(len(entries), w_id)
+    for sig, vid in entries:
+        out.write_fields([len(sig), *sig, vid], [w_size] + [w_elem] * len(sig) + [w_id])
+    encode_sequence(y, out)
+    return BitReader(out.to_bytes())
+
+
+def test_decoded_vertices_of_one_type_share_one_profile():
+    reader = vertex_type_block([((2, 1, 1, 2), 1), ((1,), 2)], [1, 2, 1, 1])
+    theta, deg = decode_vertex_types(reader, 4, 2, 1, 2, 1)
+    assert theta == [0, 2, 1, 2, 2]
+    assert deg[1:] == [{(1, 1): 2}, {}, {(1, 1): 2}, {(1, 1): 2}]
+    assert deg[1] is deg[3] is deg[4]
+
+
+@pytest.mark.parametrize("entries, y, message", [
+    ([((1,), 1), ((2,), 1)], [1, 1, 1, 1], "dictionary id"),  # duplicate id
+    ([((1, 1), 1)], [1, 1, 1, 1], "malformed"),  # 1 + 3k elements required
+    ([((), 1)], [1, 1, 1, 1], "malformed"),  # no mark
+    ([((1,), 1)], [1, 2, 1, 1], "id out of range"),  # id symbol count + 1
+])
+def test_bad_vertex_type_blocks_raise_codec_error(entries, y, message):
+    with pytest.raises(CodecError, match=message):
+        decode_vertex_types(vertex_type_block(entries, y), 4, 2, 1, 2, 1)
 
 
 def test_vertex_marks_wider_than_other_alphabets():

@@ -4,24 +4,22 @@ A graph with left degrees a and right degrees b is mapped to the integer
 f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
 the divide-and-conquer recursion of `ranking` over intervals of left
-vertices, decoded with interval proxies; this module supplies its
-per-vertex terms.  The decoder carries the residual half-edge count
-forward from s_i, the left degree sum from i on, and finds each neighbor
-by at most one Fenwick descent to a threshold on that count.  The
-interval ratios depend on the left degrees alone, so one product tree
-built bottom-up from binomials holds them all.
+vertices, decoded with interval proxies.  A left vertex's step is
+`ranking.count_vertex`/`ranking.decode_vertex` over right vertices 1..n_r
+(`simple_graph` scales the same step by â!); the decoder starts each from
+s_i, the left degree sum from i on.  The interval ratios depend on the
+left degrees alone, so one product tree built bottom-up from binomials
+holds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb, factorial
 
 from . import ranking
 from .fenwick import SuffixFenwick
-from .intmath import (ONE, ZERO, binomial, ceil_div, compute_product, falling_threshold, mpz,
-                      mul, prod_factorial)
+from .intmath import ZERO, binomial, ceil_div, compute_product, mpz, mul, prod_factorial
 
 
 @dataclass(frozen=True)
@@ -70,26 +68,10 @@ def ratio_tree(a, spine: bool = False) -> list:
 
 def _count(inst: BipartiteInstance, tree, trace):
     """(N, l) of the whole instance by `ranking.count`."""
-    a, adj = inst.a, inst.adj
     bres = [0] + [int(x) for x in inst.b]  # residual right degrees
     fen = SuffixFenwick(list(inst.b))
-
-    def leaf(i):
-        z = ZERO
-        l = ONE
-        ai = a[i - 1]
-        neigh = adj[i - 1]
-        for k in range(ai):
-            w = neigh[k]
-            y = comb(fen.suffix_sum(1 + w), ai - k)
-            if y:
-                z += l * y
-            l *= bres[w]
-            fen.add(w, -1)
-            bres[w] -= 1
-        return z, l
-
-    return ranking.count(leaf, tree, 1, 1, inst.n_l, trace)
+    return ranking.count(lambda i: ranking.count_vertex(bres, fen, inst.adj[i - 1]),
+                         tree, 1, 1, inst.n_l, trace)
 
 
 def b_configuration_count(inst: BipartiteInstance, trace=None):
@@ -109,45 +91,6 @@ def b_encode(inst: BipartiteInstance, tree=None):
     n, l = _count(inst, tree, None)
     # l equals prod(b_j!) once the whole interval is consumed.
     return ceil_div(n, l)
-
-
-def _decode_node(suf, bres, fen, i, n_r, ntilde):
-    """Recover the neighbor list of left vertex i from its proxy count.
-
-    Neighbor w is the smallest above the last one with
-    C(S_{w+1}, q) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a threshold on
-    S_{w+1} that one Fenwick descent locates.  S_{lo+1} is carried forward
-    from S_1 = s_i = suf[i - 1], less each residual degree passed.
-    """
-    z_t = ntilde
-    z = ZERO
-    l = ONE
-    ai = suf[i - 1] - suf[i]
-    neigh = []
-    lo = 1
-    s = suf[i - 1] - bres[1]
-    for k in range(ai):
-        if lo > n_r:
-            raise ValueError(f"left vertex {i}: neighbor list runs past {n_r}")
-        q = ai - k
-        y = comb(s, q)
-        if y > z_t:
-            # Lands in (lo, n_r]: S_{lo+1} is above the threshold.
-            lo, s = fen.first_at_most(falling_threshold((z_t + 1) * factorial(q) - 1, q))
-            lo -= 1
-            y = comb(s, q)
-        res = bres[lo]
-        if not res:
-            raise ValueError(f"left vertex {i}: right vertex {lo} has no half-edge left")
-        neigh.append(lo)
-        z_t = (z_t - y) // res
-        z += l * y
-        l *= res
-        fen.add(lo, -1)
-        bres[lo] = res - 1
-        lo += 1
-        s -= bres[lo]
-    return z, neigh, l
 
 
 def b_decode(f, a, b, tree=None) -> tuple:
@@ -175,8 +118,7 @@ def b_decode(f, a, b, tree=None) -> tuple:
         tree = ratio_tree(a)
 
     def leaf(i, _, ntilde):
-        n_ii, neigh, l = _decode_node(suf, bres, fen, i, n_r, ntilde)
-        out[i - 1] = tuple(neigh)
+        n_ii, out[i - 1], l = ranking.decode_vertex(bres, fen, 1, n_r, a[i - 1], ntilde, suf[i - 1])
         return n_ii, l
 
     ranking.decode(leaf, tree, 1, 1, 1, n_l, ntilde)

@@ -166,6 +166,8 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount, t
     types = [None] * (count + 1)
     for _ in range(count):
         size = reader.read_fixed(w_size)
+        if size * w_elem + w_id > reader.remaining():
+            raise CodecError(f"vertex-type signature size {size} exceeds remaining stream")
         *sig, vid = reader.read_fields([w_elem] * size + [w_id])
         if not 1 <= vid <= count or types[vid] is not None:
             raise CodecError("bad vertex-type dictionary id")
@@ -338,15 +340,22 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     del trees
     partition_deg, original_index = decode_partition_structures(deg, n)
 
+    # The encoder codes one partition graph per declared pair i <= i', in
+    # increasing order; a pair's edges need its mirror's degrees too.
+    if any((ip, i) not in partition_deg for i, ip in partition_deg):
+        raise CodecError("a degree profile declares a label pair without its mirror")
+    keys = sorted(key for key in partition_deg if key[0] <= key[1])
     n_parts = reader.read_elias_delta() - 1
+    if n_parts != len(keys):
+        raise CodecError(f"{n_parts} partition graphs for {len(keys)} declared label pairs")
     w_label = width(tcount)
-    for _ in range(n_parts):
+    for key in keys:
         i = reader.read_fixed(w_label)
         ip = reader.read_fixed(w_label)
         if not 1 <= i <= ip <= tcount:
             raise CodecError(f"partition key ({i},{ip}) out of order or range")
-        if (i, ip) not in partition_deg or ((i < ip) and (ip, i) not in partition_deg):
-            raise CodecError(f"partition key ({i},{ip}) has no degree data")
+        if (i, ip) != key:
+            raise CodecError(f"partition key ({i},{ip}) where {key} is declared")
         f = reader.read_elias_delta() - 1
         if i == ip:
             ln = reader.read_elias_delta() - 1

@@ -2,17 +2,22 @@
 
 Both count configurations over a vertex interval [i, j] split at
 k = (i+j)//2 as N_ij = N_ik r + l_ik N_kj and l_ij = l_ik l_kj, r being
-the interval ratio of [k+1, j]; a codec supplies only the leaves.  Node x
-over [i, j] has children 2x over [i, k] and 2x+1 over [k+1, j], from node
-1 over [1, n].  From WIDE_SPAN vertices on, products go to `mul` and
-quotients to `floor_div`; narrower intervals use the inline operators.
+the interval ratio of [k+1, j].  Node x over [i, j] has children 2x over
+[i, k] and 2x+1 over [k+1, j], from node 1 over [1, n].  From WIDE_SPAN
+vertices on, products go to `mul` and quotients to `floor_div`; narrower
+intervals use the inline operators.
+
+One vertex's step is shared too: `count_vertex` and `decode_vertex` place
+its q half-edges among candidates lo..n by binomial terms.  A codec
+supplies the ratio leaves, the candidates and a factor on the step.
 """
 
 from __future__ import annotations
 
 import operator
+from math import comb, factorial
 
-from .intmath import WIDE_SPAN, floor_div, mul
+from .intmath import ONE, WIDE_SPAN, ZERO, falling_threshold, floor_div, mul
 
 _INLINE = (operator.mul, operator.floordiv)
 _WIDE = (mul, floor_div)
@@ -84,3 +89,57 @@ def decode(leaf, tree, thr, x, i, j, ntilde):
     p = times(n_ik, r)
     n_kj, l_kj = decode(leaf, tree, thr, 2 * x + 1, k + 1, j, div(ntilde - p, l_ik))
     return p + times(l_ik, n_kj), times(l_ik, l_kj)
+
+
+def count_vertex(res, fen, neigh):
+    """(z, l) of one vertex with increasing neighbors neigh: z counts the
+    placements of its q = len(neigh) half-edges that precede neigh, each
+    term C(S_{w+1}, q_k) weighted by the ways l to reach it.  res and fen
+    hold the candidates' residual degrees; both are drained by neigh."""
+    z = ZERO
+    l = ONE
+    q = len(neigh)
+    for w in neigh:
+        z += l * comb(fen.suffix_sum(1 + w), q)
+        l *= res[w]
+        fen.add(w, -1)
+        res[w] -= 1
+        q -= 1
+    return z, l
+
+
+def decode_vertex(res, fen, lo, n, q, ntilde, s_lo):
+    """Invert `count_vertex` from the proxy ntilde: (z, neigh, l) of a
+    vertex with q half-edges among candidates lo..n, s_lo = S_lo.
+
+    Neighbor w is the smallest above the last one with
+    C(S_{w+1}, q) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a threshold on
+    S_{w+1} that one Fenwick descent locates.  S_{lo+1} is carried forward
+    from s_lo, less each residual degree passed.  res needs a 0 at n + 1.
+    """
+    z_t = ntilde
+    z = ZERO
+    l = ONE
+    neigh = []
+    s = s_lo - res[lo]
+    for q in range(q, 0, -1):
+        if lo > n:
+            raise ValueError(f"neighbor list runs past vertex {n}")
+        s_max = falling_threshold((z_t + 1) * factorial(q) - 1, q)
+        if s > s_max:
+            # Lands in (lo, n]: S_{lo+1} is above the threshold.
+            lo, s = fen.first_at_most(s_max)
+            lo -= 1
+        y = comb(s, q)
+        r = res[lo]
+        if not r:
+            raise ValueError(f"neighbor {lo} has no half-edge left")
+        neigh.append(lo)
+        z_t = (z_t - y) // r
+        z += l * y
+        l *= r
+        fen.add(lo, -1)
+        res[lo] = r - 1
+        lo += 1
+        s -= res[lo]
+    return z, tuple(neigh), l

@@ -8,8 +8,13 @@ the split k of each interval over `split_threshold` vertices: the
 checkpoints, which bound the segments the decoder builds its ratio tree
 over, since it learns a forward degree only by decoding the vertex.  In
 a segment it carries the ratio forward by exact division and the
-residual half-edge count from the head's one suffix sum; each neighbor
-takes at most one Fenwick descent to a threshold on that count.
+residual half-edge count from the head's one suffix sum.
+
+A vertex's step is the bipartite one (`ranking.count_vertex`) over the
+vertices above it, times â!, â its forward degree: the k-th simple term
+(S)_{q_k} = q_k! C(S, q_k), q_k half-edges still to place, is weighted by
+multipliers q_m res_m, m < k, so it and l carry â! = q_k! q_0...q_{k-1}.
+`ranking.decode_vertex` thus finds the same neighbors from the proxy / â!.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from itertools import accumulate
 
 from . import ranking
 from .fenwick import SuffixFenwick
-from .intmath import (ONE, ZERO, ceil_div, compute_product, double_factorial_ratio,
-                      falling_threshold, mpz, mul, prod_factorial)
+from .intmath import (ONE, ZERO, ceil_div, compute_product, double_factorial_ratio, mpz, mul,
+                      prod_factorial)
 
 
 @dataclass(frozen=True)
@@ -76,20 +81,9 @@ def _count(inst: SimpleInstance, spine: bool, trace):
     fen = SuffixFenwick(list(inst.a))
 
     def leaf(i):
-        z = ZERO
-        l = ONE
-        ahat = ares[i]
-        neigh = fwd[i - 1]
-        for k in range(ahat):
-            w = neigh[k]
-            y = compute_product(fen.suffix_sum(1 + w), ahat - k, 1)
-            if y:
-                z += l * y
-            c = (ahat - k) * ares[w]
-            l *= c
-            ares[w] -= 1
-            fen.add(w, -1)
-        return z, l
+        z, l = ranking.count_vertex(ares, fen, fwd[i - 1])
+        scale = math.factorial(len(fwd[i - 1]))  # â_i!, as the module docstring shows
+        return z * scale, l * scale
 
     return (*ranking.count(leaf, tree, 1, 1, pn, trace), cps)
 
@@ -103,45 +97,6 @@ def s_encode(inst: SimpleInstance):
     """Rank the graph; returns (f, checkpoints) with checkpoints 1-based."""
     n, l, cps = _count(inst, False, None)
     return ceil_div(n, l), cps
-
-
-def _decode_node(ares, fen, i, pn, ntilde, s):
-    """Recover the forward neighbors of vertex i from its proxy count.
-
-    Neighbor w is the smallest above the last one with S_{w+1} <=
-    falling_threshold(z~, q): one Fenwick descent unless the first candidate
-    qualifies.  S_{lo+1} is carried forward from s = S_{i+1}.
-    """
-    z_t = ntilde
-    z = ZERO
-    l = ONE
-    ahat = ares[i]
-    neigh = []
-    lo = i + 1
-    s -= ares[lo]
-    for k in range(ahat):
-        if lo > pn:
-            raise ValueError(f"vertex {i}: neighbor list runs past vertex {pn}")
-        q = ahat - k
-        s_max = falling_threshold(z_t, q)
-        if s > s_max:
-            # Lands in (lo, pn]: S_{lo+1} is above the threshold.
-            lo, s = fen.first_at_most(s_max)
-            lo -= 1
-        y = math.perm(s, q)
-        res = ares[lo]
-        if not res:
-            raise ValueError(f"vertex {i}: neighbor {lo} has no half-edge left")
-        neigh.append(lo)
-        z += l * y
-        c = q * res
-        l *= c
-        ares[lo] = res - 1
-        fen.add(lo, -1)
-        z_t = (z_t - y) // c
-        lo += 1
-        s -= ares[lo]
-    return z, neigh, l
 
 
 def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
@@ -158,21 +113,23 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
         raise ValueError(f"vertex {i}: residual half-edges below the checkpoint")
     r = compute_product(s - 1, (s - s_j1) // 2, 2)
     steps = []
-    for v in range(i, j):
-        n_v, neigh, l_v = _decode_node(ares, fen, v, pn, ntilde // r, s + ares[v])
-        out[v - 1] = tuple(neigh)
-        p_v = n_v * r
+    for v in range(i, j + 1):
+        if v > i:
+            drop = ares[v]
+            if 2 * drop > s - s_j1:
+                raise ValueError(f"vertex {v}: residual half-edges below the checkpoint")
+            r //= compute_product(s - 1, drop, 2)
+            s -= 2 * drop
+        ahat = ares[v]
+        scale = math.factorial(ahat)
+        n_v, out[v - 1], l_v = ranking.decode_vertex(ares, fen, v + 1, pn, ahat,
+                                                     ntilde // (r * scale), s + ahat)
+        p_v, l_v = n_v * scale * r, l_v * scale
         steps.append((p_v, l_v))
         ntilde = (ntilde - p_v) // l_v
-        drop = ares[v + 1]
-        if 2 * drop > s - s_j1:
-            raise ValueError(f"vertex {v + 1}: residual half-edges below the checkpoint")
-        r //= compute_product(s - 1, drop, 2)
-        s -= 2 * drop
-    n_ij, neigh, l_ij = _decode_node(ares, fen, j, pn, ntilde, s + ares[j])
-    out[j - 1] = tuple(neigh)
     if s != s_j1:
         raise ValueError(f"vertex {j}: half-edges left do not match the checkpoint")
+    n_ij, l_ij = ZERO, ONE
     for p_v, l_v in reversed(steps):
         n_ij = p_v + l_v * n_ij
         l_ij *= l_v

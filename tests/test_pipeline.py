@@ -247,6 +247,19 @@ def test_bad_vertex_type_blocks_raise_codec_error(entries, y, message):
         decode_vertex_types(vertex_type_block(entries, y), 4, 2, 1, 2, 1)
 
 
+def test_huge_signature_size_raises_codec_error_before_allocating():
+    # delta = 2**20 gives 22-bit size fields; a size of 2**22 - 1 must be
+    # refused against the stream left, not read as that many fields.
+    delta = 1 << 20
+    out = BitWriter()
+    w_size = width(1 + 3 * delta)
+    out.write_fixed(1, width(4))
+    out.write_fixed((1 << w_size) - 1, w_size)
+    out.write_fixed(0, 64)
+    with pytest.raises(CodecError, match="signature size"):
+        decode_vertex_types(BitReader(out.to_bytes()), 4, delta, 1, 2, 1)
+
+
 def test_vertex_marks_wider_than_other_alphabets():
     # |theta| = 3 exceeds max(|xi|, tcount, delta) = 1; the field width must
     # still carry the mark.
@@ -549,6 +562,19 @@ def channel_spans(monkeypatch, g, h, delta):
     # star bitmap, star edges, then vertex types around the id sequence.
     _, _, star0, star1, dict0, dict1, _, _ = marks
     return data, {"star_edges": (star0, star1), "dictionary": (dict0, dict1)}
+
+
+@pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
+def test_stream_without_its_partition_graphs_raises_codec_error(monkeypatch, h, delta):
+    # The stream up to the end of the vertex-type block, then ED(1): zero
+    # partition graphs, while the degree profiles still declare them.
+    import lwcg.pipeline as pipeline
+    find = pipeline.find_partition_graphs
+    monkeypatch.setattr(pipeline, "find_partition_graphs", lambda *args: (find(*args)[0], {}))
+    data = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
+    monkeypatch.undo()
+    with pytest.raises(CodecError, match="0 partition graphs for"):
+        decode_marked_graph(data)
 
 
 def cut(data, nbits):

@@ -1,8 +1,12 @@
-"""The divide-and-conquer driver shared by the rank codecs."""
+"""The divide-and-conquer driver and the per-vertex step shared by the
+rank codecs."""
+
+import random
 
 import pytest
 
-from lwcg.ranking import ratio_tree, split_nodes
+from lwcg.fenwick import SuffixFenwick
+from lwcg.ranking import count_vertex, decode_vertex, ratio_tree, split_nodes
 from lwcg.simple_graph import checkpoint_len, split_threshold
 
 
@@ -57,3 +61,32 @@ def test_ratio_tree_multiplies_leaves_up_to_the_spine():
                 if x in inner:
                     k = (i + j) // 2
                     stack += [(2 * x, i, k), (2 * x + 1, k + 1, j)]
+
+
+def test_decode_vertex_inverts_count_vertex():
+    rng = random.Random(89)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        lo = rng.choice([1, rng.randint(1, n)])
+        res = [0] + [rng.randint(0, 4) for _ in range(n)]
+        candidates = [w for w in range(lo, n + 1) if res[w]]
+        neigh = sorted(rng.sample(candidates, rng.randint(0, len(candidates))))
+        enc_res, enc_fen = list(res), SuffixFenwick(res[1:])
+        z, l = count_vertex(enc_res, enc_fen, neigh)
+        for ntilde in {z, z + l - 1, rng.randrange(z, z + l)}:
+            dec_res, dec_fen = res + [0], SuffixFenwick(res[1:])
+            got = decode_vertex(dec_res, dec_fen, lo, n, len(neigh), ntilde, sum(res[lo:]))
+            assert got == (z, tuple(neigh), l), (res, lo, neigh, ntilde)
+            assert dec_res[:-1] == enc_res
+            assert dec_fen.suffix_sum(lo) == enc_fen.suffix_sum(lo)
+
+
+@pytest.mark.parametrize("res, lo, q, message", [
+    ([0, 3, 2, 2], 2, 3, "runs past vertex 3"),  # two candidates, three half-edges
+    ([0, 1, 0, 5], 2, 1, "neighbor 2 has no half-edge left"),
+])
+def test_decode_vertex_rejects_out_of_range_proxies(res, lo, q, message):
+    # A proxy above every count places the half-edges as early as possible.
+    with pytest.raises(ValueError, match=message):
+        decode_vertex(res + [0], SuffixFenwick(res[1:]), lo, len(res) - 1, q, 10**9,
+                      sum(res[lo:]))

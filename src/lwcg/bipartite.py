@@ -79,26 +79,21 @@ def b_configuration_count(inst: BipartiteInstance, trace=None):
     return _count(inst, ratio_tree(inst.a, spine=trace is not None), trace)[0]
 
 
-def b_encode(inst: BipartiteInstance, tree=None):
-    """Rank of the bipartite graph: ceil(N / prod of right factorials).
-
-    tree, if given, is ratio_tree(inst.a), built once by the caller.
-    """
+def b_encode(inst: BipartiteInstance):
+    """Rank of the bipartite graph: ceil(N / prod of right factorials)."""
     if inst.n_l == 0 or inst.n_r == 1:  # at most one graph: rank 0
         return ZERO
-    if tree is None:
-        tree = ratio_tree(inst.a)
-    n, l = _count(inst, tree, None)
+    n, l = _count(inst, ratio_tree(inst.a), None)
     # l equals prod(b_j!) once the whole interval is consumed.
     return ceil_div(n, l)
 
 
-def b_decode(f, a, b, tree=None) -> tuple:
+def b_decode(f, a, b) -> tuple:
     """Inverse of b_encode given the two degree sequences.
 
     Inconsistent degree sums are rejected.  A rank that is out of range
     raises ValueError or decodes to some graph with these degrees (with one
-    right vertex, it raises).  tree, if given, is ratio_tree(a).
+    right vertex, it raises).
     """
     if sum(a) != sum(b):
         raise ValueError("degree sums differ between sides")
@@ -114,14 +109,12 @@ def b_decode(f, a, b, tree=None) -> tuple:
     suf = list(accumulate(reversed(a), initial=0))[::-1]  # s_i = suf[i - 1], s_{n+1} = 0
     fen = SuffixFenwick(list(b))
     out = [()] * n_l
-    if tree is None:
-        tree = ratio_tree(a)
 
     def leaf(i, _, ntilde):
         n_ii, out[i - 1], l = ranking.decode_vertex(bres, fen, 1, n_r, a[i - 1], ntilde, suf[i - 1])
         return n_ii, l
 
-    ranking.decode(leaf, tree, 1, 1, 1, n_l, ntilde)
+    ranking.decode(leaf, ratio_tree(a), 1, 1, 1, n_l, ntilde)
     return tuple(out)
 
 

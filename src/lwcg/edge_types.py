@@ -117,6 +117,7 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
         inbound = label[mirror].tolist()
         state = _LabelState()
         send = state.send
+        star_of = {}  # mark -> this round's star label (0, mark)
         out = []
         for v in range(1, n + 1):
             xv = x[v]
@@ -126,7 +127,12 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
                 s = list(zip(inbound[len(out):len(out) + d], xv))
                 stars = [i for i in range(d) if is_star_old[s[i][0]]]
             if d > delta or len(stars) >= 2:
-                out.extend([send((0, xi)) for xi in xv])
+                # Every side gets its mark's star: one send per new mark,
+                # in first-seen order, so the numbering is unchanged.
+                for xi in dict.fromkeys(xv):
+                    if xi not in star_of:
+                        star_of[xi] = send((0, xi))
+                out.extend(map(star_of.__getitem__, xv))
                 continue
             row = [0] * d
             order = sorted(range(d), key=s.__getitem__)

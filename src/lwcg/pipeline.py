@@ -84,26 +84,21 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
 
 
 def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
-    """Inverse of encode_star_edges; returns (v, w, x, xp) records.  A run
-    of 0 bits closes star vertices; a 1 bit starts a record of the next."""
+    """Inverse of encode_star_edges; returns (v, w, x, xp) records.  Each
+    row closes every star vertex with one 0 bit, so the 0 bits before a
+    record give its row and its star vertex."""
     nbits = width(n)
-    flag = 1 << nbits
     star = [v for v in range(1, n + 1) if s[v]]
     nstar = len(star)
     if not nstar:
         return []
-    read_zeros, read_fixed = reader.read_zeros, reader.read_fixed
     edges = []
-    for x in range(1, sigma_e + 1):
-        for xp in range(1, sigma_e + 1):
-            closed = read_zeros(nstar)
-            while closed < nstar:
-                v = star[closed]
-                w = read_fixed(nbits + 1) ^ flag
-                if not v < w <= n:
-                    raise CodecError(f"star edge endpoint {w} out of range")
-                edges.append((v, w, x, xp))
-                closed += read_zeros(nstar - closed)
+    for closed, w in reader.read_flagged(nbits, sigma_e * sigma_e * nstar):
+        row, i = divmod(closed, nstar)
+        v = star[i]
+        if not v < w <= n:
+            raise CodecError(f"star edge endpoint {w} out of range")
+        edges.append((v, w, row // sigma_e + 1, row % sigma_e + 1))
     return edges
 
 
@@ -120,14 +115,13 @@ def find_deg(g: NeighborListGraph, table: EdgeTypeTable) -> list:
     return deg
 
 
-def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: BitWriter,
-                        trees=None) -> None:
+def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: BitWriter) -> None:
     """Joint coding of vertex marks and degree profiles.
 
     Each vertex gets a flat signature (mark, then sorted (label, label,
     count) triples); distinct signatures go into a dictionary written
     up front by one write_fields call, and the per-vertex ids are handed
-    to the sequence codec (trees as in encode_sequence).
+    to the sequence codec.
     """
     dictionary = {}
     y = [0] * n
@@ -153,10 +147,10 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
         values += (len(sig),) + sig + (dictionary[sig],)
         widths += [w_size] + [w_elem] * len(sig) + [w_id]
     out.write_fields(values, widths)
-    encode_sequence(y, out, trees)
+    encode_sequence(y, out)
 
 
-def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount, trees=None):
+def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     """Inverse of encode_vertex_types; returns (theta, deg), both 1-based.
     Vertices of one type share one profile dict, so deg[v] is read-only."""
     w_size = width(1 + 3 * delta)
@@ -176,7 +170,7 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount, t
         if not 1 <= sig[0] <= sigma_v:
             raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
         types[vid] = sig[0], {(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
-    y = decode_sequence(n, reader, trees)
+    y = decode_sequence(n, reader)
 
     # count distinct ids in 1..count were read, so every slot is filled.
     theta = [0] * (n + 1)
@@ -276,19 +270,18 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     out.write_fields([f for label in labels for f in label], [1, width(g.sigma_e)] * table.tcount)
 
     s = find_star_vertices(nl, table)
-    trees = {}  # the two length-n sequences share one ratio tree
-    encode_sequence(s[1:], out, trees)
+    encode_sequence(s[1:], out)
     encode_star_edges(nl, table, s, out)
 
     deg = find_deg(nl, table)
     encode_vertex_types(deg, nl.theta, g.n, delta, g.sigma_e, g.sigma_v,
-                        table.tcount, out, trees)
+                        table.tcount, out)
 
     partition_deg, partition_adj = find_partition_graphs(nl, table, deg)[:2]
     w_label = width(table.tcount)
     # The ranks need only the partition graphs; drop the per-vertex tables
     # so the big-int work below runs in a smaller heap.
-    del nl, table, deg, s, trees
+    del nl, table, deg, s
     out.write_elias_delta(1 + len(partition_adj))
     for key in sorted(partition_adj):
         i, ip = key
@@ -330,14 +323,12 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     t_is_star = [0] + fields[0::2]
     t_mark = [0] + fields[1::2]
 
-    trees = {}
-    s = [0] + decode_sequence(n, reader, trees)
+    s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):
         raise CodecError("star bitmap is not binary")
     edges = decode_star_edges(reader, s, n, sigma_e)
 
-    theta, deg = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount, trees)
-    del trees
+    theta, deg = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
     partition_deg, original_index = decode_partition_structures(deg, n)
 
     # The encoder codes one partition graph per declared pair i <= i', in

@@ -269,15 +269,16 @@ def test_criterion_6b_normalized_length_near_entropy(criterion_6):
 
 def test_criterion_7_near_linear_encode_scaling():
     # t(1e4) is the median of 5 encodes, 3 taken before and 2 after the one
-    # 1e5 encode: a single short sample swings with the host's load far
-    # more than the 1e5 encode, which averages over it.
+    # 1e5 encode.  Both are process CPU time: wall time on a shared host
+    # swings with other jobs' load, the short sample far more than the
+    # 1e5 one, which averages over it.
     small = gen_synthetic(10**4, 3.0, 2, 2, seed=71)
     large = gen_synthetic(10**5, 3.0, 2, 2, seed=71)
 
     def encode_seconds(g):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         encode_marked_graph(g, 1, 10)
-        return time.perf_counter() - t0
+        return time.process_time() - t0
 
     samples = [encode_seconds(small) for _ in range(3)]
     times = {10**5: encode_seconds(large)}

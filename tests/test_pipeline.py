@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_marked_graph
-from lwcg.bits import BitReader, BitWriter, width
+from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 from lwcg.edge_types import extract_types
 from lwcg.graph_model import EdgeListGraph, canonical_edges, preprocess
 from lwcg.pipeline import (
@@ -95,6 +95,43 @@ def test_star_edge_channel_without_star_vertices_skips_the_mark_pairs(monkeypatc
     monkeypatch.setattr(BitReader, "read_zeros", lambda self, limit: calls.append(limit) or 0)
     assert decode_star_edges(BitReader(b""), s, 3, sigma_e) == []
     assert calls == []
+
+
+def star_channel(fields):
+    """A stream of (value, width) fields, then a 1 bit the channel must not read."""
+    w = BitWriter()
+    for value, nbits in fields:
+        w.write_fixed(value, nbits)
+    end = len(w)
+    w.write_fixed(1, 1)
+    return w.to_bytes(), end
+
+
+def test_star_edge_channel_rows_endpoints_and_end():
+    # n = 4, stars 1, 3 and 4, two edge marks: four rows of three closing
+    # 0 bits each; records are a 1 bit and a 3-bit endpoint.
+    s = [0, 1, 0, 1, 1]
+    rec = lambda w: (8 | w, 4)  # noqa: E731
+    data, end = star_channel([rec(3), (0, 1), rec(4), (0, 2),    # row (1, 1)
+                              (0, 3), (0, 3), (0, 3)])           # the others
+    r = BitReader(data)
+    assert decode_star_edges(r, s, 4, 2) == [(1, 3, 1, 1), (3, 4, 1, 1)]
+    assert r.position == end
+    for w in (1, 3, 5):  # at or below vertex 3, or above n
+        data, _ = star_channel([(0, 1), rec(w), (0, 2)] + [(0, 3)] * 3)
+        with pytest.raises(CodecError, match="out of range"):
+            decode_star_edges(BitReader(data), s, 4, 2)
+
+
+def test_star_edge_channel_truncated():
+    # n = 16, every vertex a star, one edge mark: the third 6-bit record
+    # is cut by the end of the stream.
+    s = [0] + [1] * 16
+    w = BitWriter()
+    for far in (2, 3, 4):
+        w.write_fixed(32 | far, 6)
+    with pytest.raises(TruncatedStreamError):
+        decode_star_edges(BitReader(w.to_bytes()[:2]), s, 16, 1)
 
 
 def test_huge_edge_mark_alphabet_without_stars_roundtrips():

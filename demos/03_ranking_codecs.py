@@ -52,6 +52,6 @@ for v, w in sorted(edges):
 inst = SimpleInstance(a=tuple(deg[1:]), fwd=tuple(tuple(r) for r in fwd))
 f, checkpoints = s_encode(inst)
 print(f"{pn} vertices, {len(edges)} edges -> rank of {f.bit_length()} bits, "
-      f"plus {sum(1 for c in checkpoints[1:] if c)} checkpoints")
+      f"plus {len(checkpoints) - 1} checkpoints")
 assert s_decode(f, checkpoints, inst.a) == inst.fwd
 print("decoded forward lists match")

@@ -25,7 +25,6 @@ from .simple_graph import (
     s_encode,
     s_decode,
     s_count_oracle,
-    checkpoint_len,
     split_threshold,
 )
 from .sequences import encode_sequence, decode_sequence
@@ -61,7 +60,6 @@ __all__ = [
     "s_encode",
     "s_decode",
     "s_count_oracle",
-    "checkpoint_len",
     "split_threshold",
     "encode_sequence",
     "decode_sequence",

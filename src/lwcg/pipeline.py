@@ -1,40 +1,46 @@
 """Full marked-graph codec: header, type tables, star channels, vertex
 types, and one ranking codec per partition graph.
 
-Wire layout (MSB-first bits, zero-padded to a byte boundary at the end):
+Wire layout (MSB-first bits):
 
-  magic "LWCG", version byte 0x01,
-  ED(n) ED(|xi|) ED(|theta|) ED(h) ED(delta),
-  ED(1+TCount), then per label: star bit + mark in width(|xi|) bits,
+  magic "LWCG", version byte 0x02,
+  ED(n) ED(|xi|) ED(|theta|) ED(delta),
+  ED(1+TCount), then per label its mark in width(|xi|) bits,
   star-vertex bitmap            (sequence codec),
   star edges                    (flagged neighbor lists per mark pair),
-  vertex types                  (dictionary + id sequence),
-  ED(1+#partition graphs), then per key (i, i') in increasing order:
-      i and i' in width(TCount) bits,
-      i < i':  ED(1+f)                      (bipartite rank)
-      i == i': ED(1+f) ED(1+len) ED(1+cp_j) (simple rank + checkpoints)
+  vertex types                  (sorted dictionary + id sequence),
+  per declared label pair (i, i'), i <= i', in increasing order:
+      i < i':  ED(1+f)                        (bipartite rank)
+      i == i': ED(1+f) ED(1+len) ED(1+cp_m)   (simple rank + checkpoints)
+  zero bits to a byte boundary, then the CRC-32 of all bytes before it
+  in 32 bits.  The stream ends there.
 
 ED is the Elias delta code; width(x) = 1 + floor(log2(max(x, 1))).
 
 A vertex's type is its mark plus its degree profile (non-star edges per
-label pair); decoded vertices of one type share one profile.  Profiles fix
-the partition tables, and both sides build them with one grouping.
+label pair); its id is the signature's position in the dictionary, and
+decoded vertices of one type share one profile.  Profiles fix the
+partition tables, keys included, and both sides build them with one
+grouping; the stream carries only the ranks and each simple graph's
+checkpoints, one per split node.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import zlib
 
 from .bipartite import BipartiteInstance, b_decode, b_encode
 from .bits import BitReader, BitWriter, CodecError, width
 from .edge_types import EdgeTypeTable, extract_types
 from .graph_model import EdgeListGraph, GraphFormatError, NeighborListGraph, preprocess
+from .ranking import split_nodes
 from .sequences import decode_sequence, encode_sequence
-from .simple_graph import SimpleInstance, checkpoint_len, s_decode, s_encode
+from .simple_graph import SimpleInstance, s_decode, s_encode, split_threshold
 
 MAGIC = b"LWCG"
-VERSION = 1
+VERSION = 2
 
 
 def find_star_vertices(g: NeighborListGraph, table: EdgeTypeTable) -> list:
@@ -119,35 +125,32 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
     """Joint coding of vertex marks and degree profiles.
 
     Each vertex gets a flat signature (mark, then sorted (label, label,
-    count) triples); distinct signatures go into a dictionary written
-    up front by one write_fields call, and the per-vertex ids are handed
-    to the sequence codec.
+    count) triples); the distinct signatures, sorted, make a dictionary
+    written up front by one write_fields call, and each vertex's id, its
+    signature's 1-based position there, goes to the sequence codec.
     """
-    dictionary = {}
-    y = [0] * n
+    distinct = {}
+    sigs = [None] * n  # vertices of one type share one tuple
     for v in range(1, n + 1):
         sig = [theta[v]]
         for key in sorted(deg[v]):
             sig.extend(key)
             sig.append(deg[v][key])
         sig = tuple(sig)
-        vid = dictionary.get(sig)
-        if vid is None:
-            vid = len(dictionary) + 1
-            dictionary[sig] = vid
-        y[v - 1] = vid
+        sigs[v - 1] = distinct.setdefault(sig, sig)
+    dictionary = sorted(distinct)
+    ids = {sig: vid for vid, sig in enumerate(dictionary, 1)}
 
     w_size = width(1 + 3 * delta)
     # Vertex marks can exceed the other alphabets, so the field width
     # must cover them too or the first signature entry would not fit.
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
-    w_id = width(n)
-    values, widths = [len(dictionary)], [w_id]
-    for sig in sorted(dictionary):
-        values += (len(sig),) + sig + (dictionary[sig],)
-        widths += [w_size] + [w_elem] * len(sig) + [w_id]
+    values, widths = [len(dictionary)], [width(n)]
+    for sig in dictionary:
+        values += (len(sig),) + sig
+        widths += [w_size] + [w_elem] * len(sig)
     out.write_fields(values, widths)
-    encode_sequence(y, out)
+    encode_sequence([ids[sig] for sig in sigs], out)
 
 
 def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
@@ -155,24 +158,23 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     Vertices of one type share one profile dict, so deg[v] is read-only."""
     w_size = width(1 + 3 * delta)
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
-    w_id = width(n)
-    count = reader.read_fixed(w_id)
-    types = [None] * (count + 1)
+    count = reader.read_fixed(width(n))
+    types = [None]
     for _ in range(count):
         size = reader.read_fixed(w_size)
-        if size * w_elem + w_id > reader.remaining():
+        if size * w_elem > reader.remaining():
             raise CodecError(f"vertex-type signature size {size} exceeds remaining stream")
-        *sig, vid = reader.read_fields([w_elem] * size + [w_id])
-        if not 1 <= vid <= count or types[vid] is not None:
-            raise CodecError("bad vertex-type dictionary id")
+        sig = reader.read_fields([w_elem] * size)
         if not sig or (len(sig) - 1) % 3:
             raise CodecError("malformed vertex-type signature")
         if not 1 <= sig[0] <= sigma_v:
             raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
-        types[vid] = sig[0], {(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
+        profile = {(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
+        if not all(1 <= i <= tcount and 1 <= ip <= tcount for i, ip in profile):
+            raise CodecError(f"a degree profile label lies outside 1..{tcount}")
+        types.append((sig[0], profile))
     y = decode_sequence(n, reader)
 
-    # count distinct ids in 1..count were read, so every slot is filled.
     theta = [0] * (n + 1)
     deg = [None] * (n + 1)
     for v, vid in enumerate(y, 1):
@@ -262,12 +264,11 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
 
     out = BitWriter()
     out.write_fields(list(MAGIC) + [VERSION], [8] * 5)
-    for value in (g.n, g.sigma_e, g.sigma_v, h, delta):
+    for value in (g.n, g.sigma_e, g.sigma_v, delta):
         out.write_elias_delta(value)
 
     out.write_elias_delta(1 + table.tcount)
-    labels = zip(table.t_is_star[1:], table.t_mark[1:])
-    out.write_fields([f for label in labels for f in label], [1, width(g.sigma_e)] * table.tcount)
+    out.write_fields(table.t_mark[1:], [width(g.sigma_e)] * table.tcount)
 
     s = find_star_vertices(nl, table)
     encode_sequence(s[1:], out)
@@ -278,15 +279,11 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
                         table.tcount, out)
 
     partition_deg, partition_adj = find_partition_graphs(nl, table, deg)[:2]
-    w_label = width(table.tcount)
     # The ranks need only the partition graphs; drop the per-vertex tables
     # so the big-int work below runs in a smaller heap.
     del nl, table, deg, s
-    out.write_elias_delta(1 + len(partition_adj))
     for key in sorted(partition_adj):
         i, ip = key
-        out.write_fixed(i, w_label)
-        out.write_fixed(ip, w_label)
         adj = tuple(tuple(row) for row in partition_adj[key])
         if i < ip:
             inst = BipartiteInstance(a=tuple(partition_deg[(i, ip)]),
@@ -297,9 +294,11 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
             inst = SimpleInstance(a=tuple(partition_deg[(i, i)]), fwd=adj)
             f, cps = s_encode(inst)
             out.write_elias_delta(1 + f)
-            out.write_elias_delta(1 + (len(cps) - 1))
-            for j in range(1, len(cps)):
-                out.write_elias_delta(1 + cps[j])
+            out.write_elias_delta(len(cps))
+            for c in cps[1:]:
+                out.write_elias_delta(1 + c)
+    out.write_fixed(0, -out.bit_length % 8)
+    out.write_fixed(zlib.crc32(out.to_bytes()), 32)
     return out.to_bytes()
 
 
@@ -312,16 +311,15 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
         raise CodecError(f"bad magic {head[:4]!r}")
     if head[4] != VERSION:
         raise CodecError(f"unsupported version {head[4]}")
-    # h is recorded in the header; decoding never re-runs type extraction.
-    n, sigma_e, sigma_v, _, delta = (reader.read_elias_delta() for _ in range(5))
+    if zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "big"):
+        raise CodecError("CRC-32 mismatch")
+    n, sigma_e, sigma_v, delta = (reader.read_elias_delta() for _ in range(4))
 
     tcount = reader.read_elias_delta() - 1
     w_mark = width(sigma_e)
-    if tcount * (1 + w_mark) > reader.remaining():
+    if tcount * w_mark > reader.remaining():
         raise CodecError(f"type count {tcount} exceeds remaining stream")
-    fields = reader.read_fields([1, w_mark] * tcount)
-    t_is_star = [0] + fields[0::2]
-    t_mark = [0] + fields[1::2]
+    t_mark = [0] + reader.read_fields([w_mark] * tcount)
 
     s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):
@@ -335,23 +333,12 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     # increasing order; a pair's edges need its mirror's degrees too.
     if any((ip, i) not in partition_deg for i, ip in partition_deg):
         raise CodecError("a degree profile declares a label pair without its mirror")
-    keys = sorted(key for key in partition_deg if key[0] <= key[1])
-    n_parts = reader.read_elias_delta() - 1
-    if n_parts != len(keys):
-        raise CodecError(f"{n_parts} partition graphs for {len(keys)} declared label pairs")
-    w_label = width(tcount)
-    for key in keys:
-        i = reader.read_fixed(w_label)
-        ip = reader.read_fixed(w_label)
-        if not 1 <= i <= ip <= tcount:
-            raise CodecError(f"partition key ({i},{ip}) out of order or range")
-        if (i, ip) != key:
-            raise CodecError(f"partition key ({i},{ip}) where {key} is declared")
+    for i, ip in sorted(key for key in partition_deg if key[0] <= key[1]):
         f = reader.read_elias_delta() - 1
         if i == ip:
             ln = reader.read_elias_delta() - 1
             pn = len(partition_deg[(i, i)])
-            if pn < 2 or ln != checkpoint_len(pn):
+            if pn < 2 or ln != sum(1 for _ in split_nodes(pn, split_threshold(pn))):
                 raise CodecError(f"partition ({i},{i}): {ln} checkpoints for {pn} vertices")
             cps = [0] + [reader.read_elias_delta() - 1 for _ in range(ln)]
         try:
@@ -368,6 +355,10 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
             vp = back_a[p]
             for q in neigh:
                 edges.append((vp, back_b[q - 1], x, xp))
+    pad = reader.read_fixed(-reader.position % 8)
+    reader.read_fixed(32)  # the CRC-32, checked above
+    if pad or reader.remaining():
+        raise CodecError("stream does not end with a zero pad and its CRC-32")
 
     try:
         return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,

@@ -64,19 +64,12 @@ def split_threshold(pn: int) -> int:
     return (pn.bit_length() - 1) ** 2
 
 
-def checkpoint_len(pn: int) -> int:
-    """Checkpoint array length floor(16 pn / ln^2 pn)."""
-    return int(16 * pn / math.log(pn) ** 2)
-
-
 def _count(inst: SimpleInstance, spine: bool, trace):
     """(N, l, checkpoints) of the whole instance by `ranking.count`."""
     pn, fwd = inst.pn, inst.fwd
     s = [0, *accumulate((-2 * len(neigh) for neigh in fwd), initial=sum(inst.a))]
     tree = ranking.ratio_tree(pn, 1, lambda i, j: double_factorial_ratio(s[i], s[j + 1]), spine)
-    cps = [0] * (checkpoint_len(pn) + 1)
-    for x, i, j in ranking.split_nodes(pn, split_threshold(pn)):
-        cps[x] = s[(i + j) // 2 + 1]
+    cps = [0] + [s[(i + j) // 2 + 1] for _, i, j in ranking.split_nodes(pn, split_threshold(pn))]
     ares = [0] + [int(x) for x in inst.a]  # residual degrees
     fen = SuffixFenwick(list(inst.a))
 
@@ -94,7 +87,8 @@ def s_configuration_count(inst: SimpleInstance, trace=None):
 
 
 def s_encode(inst: SimpleInstance):
-    """Rank the graph; returns (f, checkpoints) with checkpoints 1-based."""
+    """Rank the graph; returns (f, checkpoints), cps[1:] being s_{k+1} at
+    each split node in `ranking.split_nodes` order and cps[0] = 0."""
     n, l, cps = _count(inst, False, None)
     return ceil_div(n, l), cps
 
@@ -139,24 +133,22 @@ def _decode_chain(ares, fen, i, j, pn, ntilde, s_j1, out):
 def checkpoint_tree(cps, a):
     """({p: s_p} at the segment ends, the decoder's ratio tree).
 
-    Split node x over [i, j] stores s_{k+1} = cps[x], which must be an even
-    count in [s_{j+1}, s_i], so s_1, the degree sum, caps them all; every
-    other slot must be 0.  All are checked before any product is built.
+    cps[m], m >= 1, is s_{k+1} at the m-th split node over [i, j], which
+    must be an even count in [s_{j+1}, s_i], so s_1, the degree sum, caps
+    them all.  The count and every value are checked before any product
+    is built.
     """
     pn = len(a)
     thr = split_threshold(pn)
+    nodes = list(ranking.split_nodes(pn, thr))
+    if len(cps) - 1 != len(nodes):
+        raise ValueError(f"{len(cps) - 1} checkpoints for {len(nodes)} splits")
     s = {1: sum(a), pn + 1: 0}
-    rest = list(cps)
-    for x, i, j in ranking.split_nodes(pn, thr):
-        if x >= len(cps):
-            raise ValueError(f"checkpoint {x} missing: only {len(cps) - 1} given")
-        s_k1, s_i, s_j1 = cps[x], s[i], s[j + 1]
+    for m, (_, i, j) in enumerate(nodes, 1):
+        s_k1, s_i, s_j1 = cps[m], s[i], s[j + 1]
         if not s_j1 <= s_k1 <= s_i or (s_k1 - s_j1) % 2:
-            raise ValueError(f"checkpoint {x} is {s_k1}, not an even count in [{s_j1}, {s_i}]")
+            raise ValueError(f"checkpoint {m} is {s_k1}, not an even count in [{s_j1}, {s_i}]")
         s[(i + j) // 2 + 1] = s_k1
-        rest[x] = 0
-    if any(rest[1:]):
-        raise ValueError("a checkpoint is set where no split stores one")
     return s, ranking.ratio_tree(pn, thr, lambda i, j: double_factorial_ratio(s[i], s[j + 1]))
 
 

@@ -49,14 +49,14 @@ CASES = {
 }
 
 GOLDEN = {
-    "fixture16_h2_d4": "fce151b753ba3eb0911b2d4ed9f3f28b92b3e347bccc69c6fefc0953575fff01",
-    "hubs3_n400_h1_d8": "4db5c822f362cdfff400777b90d3af12660106e6b197ea73386b2c7d8280240b",
-    "marked_h1_d20_n2000": "c856b6cb72c9c7df419147c627421a567bb7a5ec6cd10586198d3bba5d3ead87",
-    "marked_h1_d20_n300": "0c305312fbb980817883625ef7587aa5944bb494f7be7035dfa8db9b3871fc3b",
-    "marked_h2_d4_n2000": "9352d63873d1322ca8c96a245f0386c6702e10daa250b01b29e6e324c7d57656",
-    "marked_h2_d4_n300": "9b5a0878fdf3b0817f86c793eb242e7938f12c3556c36aba4651e09b8d3f99d1",
-    "unmarked_h1_d20_n2000": "60bf668c0f3f9b837ba9c08d9f7da0520dfec41174a9d65c9c86099831042a44",
-    "unmarked_h1_d20_n300": "4c6163306d8e52f1139e06b7c891c77e6ba6b510b3dc9eb3efb910b1d7f3d2ea",
+    "fixture16_h2_d4": "dbe4e4c0ca8de2b32f80b3a3a0404b31ca5d2256b537273251ddd43277b3a169",
+    "hubs3_n400_h1_d8": "7cd9f8035587e783cd095ee4c2dc56e305ad4e79b31277d9a70358ba0d905e07",
+    "marked_h1_d20_n2000": "b494a01f39350691b788da1340c2a01a7e895f03d9f90d723dc740d23b42d4ec",
+    "marked_h1_d20_n300": "719c478901c9d3540cfffc3138f5b277b43af0b59b41a58153dbf6d66167aea3",
+    "marked_h2_d4_n2000": "3402cad8d6fa8d7bb8e3d5507bfd598ed0d5b365a403b804624a1f19c302ba12",
+    "marked_h2_d4_n300": "95e8d4e48bc9acc3f83614dd2fe54d29102cab1fd7c510f92b3d0c877b86be33",
+    "unmarked_h1_d20_n2000": "8cbf9611bb6ad5b8ee0e769261feff2f39f58c657acf60376b51e87f242e4e6e",
+    "unmarked_h1_d20_n300": "37b5f367ec5c6461437fd641339e6ade2e5ce485d01295ccedee95fadc5c7039",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -7,6 +8,7 @@ from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 from lwcg.edge_types import extract_types
 from lwcg.graph_model import EdgeListGraph, canonical_edges, preprocess
 from lwcg.pipeline import (
+    VERSION,
     CodecError,
     decode_marked_graph,
     decode_partition_structures,
@@ -19,7 +21,7 @@ from lwcg.pipeline import (
     find_partition_graphs,
     find_star_vertices,
 )
-from lwcg.sequences import encode_sequence
+from lwcg.sequences import decode_sequence, encode_sequence
 from lwcg.synthetic import gen_synthetic
 
 
@@ -138,7 +140,7 @@ def test_huge_edge_mark_alphabet_without_stars_roundtrips():
     g = EdgeListGraph(n=3, sigma_v=1, sigma_e=1 << 16, theta=(1, 1, 1),
                       edges=((1, 2, 1, 1),))
     data = encode_marked_graph(g, 1, 4)
-    assert len(data) == 39
+    assert len(data) == 32
     decoded = decode_marked_graph(data)
     assert decoded.sigma_e == 1 << 16
     assert canonical_edges(decoded) == canonical_edges(g)
@@ -198,39 +200,41 @@ def test_fig_vertex_type_dictionary_and_y(fig_graph):
     out = BitWriter()
     encode_vertex_types(deg, nl.theta, 16, 4, 2, 2, table.tcount, out)
     r = BitReader(out.to_bytes())
-    w_id = width(16)
-    assert r.read_fixed(w_id) == 3  # three distinct vertex types
-    entries = {}
+    assert r.read_fixed(width(16)) == 3  # three distinct vertex types
     w_size = width(1 + 12)
     w_elem = width(max(2, 2, table.tcount, 4))
+    entries = []
     for _ in range(3):
         size = r.read_fixed(w_size)
-        sig = tuple(r.read_fixed(w_elem) for _ in range(size))
-        entries[sig] = r.read_fixed(w_id)
-    # Signatures per the worked example, with the spoke count forced to 2.
-    assert entries == {(2,): 1, (1, 3, 4, 2): 2, (2, 4, 3, 1, 5, 5, 1): 3}
+        entries.append(tuple(r.read_fixed(w_elem) for _ in range(size)))
+    # Signatures per the worked example, with the spoke count forced to 2,
+    # sorted; an id is its signature's position, and no id is written.
+    assert entries == [(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)]
+    assert decode_sequence(16, r) == [2] + [1] * 5 + [3] * 10
+    assert r.remaining() < 8
     theta, deg2 = decode_vertex_types(BitReader(out.to_bytes()), 16, 4, 2, 2,
                                       table.tcount)
     assert theta[1:] == list(nl.theta[1:])
     assert deg2[1:] == deg[1:]
 
 
-def test_vertex_types_y_sequence(fig_graph):
+def emitted_ids(monkeypatch, fig_graph):
+    """The vertex-type ids encode_vertex_types hands to the sequence codec
+    for the worked example."""
+    import lwcg.pipeline as pipeline
     nl, table = fig_tables(fig_graph)
     deg = find_deg(nl, table)
-    sigs = []
-    for v in range(1, 17):
-        sig = [nl.theta[v]]
-        for key in sorted(deg[v]):
-            sig.extend(key)
-            sig.append(deg[v][key])
-        sigs.append(tuple(sig))
-    ids = {}
-    y = []
-    for sig in sigs:
-        ids.setdefault(sig, len(ids) + 1)
-        y.append(ids[sig])
-    assert y == [1] + [2] * 5 + [3] * 10
+    sent = []
+    monkeypatch.setattr(pipeline, "encode_sequence", lambda y, out: sent.append(list(y)))
+    encode_vertex_types(deg, nl.theta, 16, 4, 2, 2, table.tcount, BitWriter())
+    monkeypatch.undo()
+    return sent
+
+
+def test_vertex_types_y_sequence(monkeypatch, fig_graph):
+    # Ids are sorted signature positions: the spokes' (1, 3, 4, 2) sorts
+    # before the hub's (2,), and the leaves' (2, 4, 3, ...) comes last.
+    assert emitted_ids(monkeypatch, fig_graph) == [[2] + [1] * 5 + [3] * 10]
 
 
 def test_vertex_types_roundtrip_random():
@@ -254,19 +258,19 @@ def test_vertex_types_roundtrip_random():
 
 def vertex_type_block(entries, y):
     """A hand-built vertex-type block for n=4, delta=2, sigma_e=1,
-    sigma_v=2, tcount=1: the dictionary entries (signature, id) laid out
-    as encode_vertex_types writes them, then the id sequence y."""
+    sigma_v=2, tcount=1: the dictionary's signatures laid out as
+    encode_vertex_types writes them, then the id sequence y."""
     out = BitWriter()
-    w_size, w_elem, w_id = width(1 + 3 * 2), width(2), width(4)
-    out.write_fixed(len(entries), w_id)
-    for sig, vid in entries:
-        out.write_fields([len(sig), *sig, vid], [w_size] + [w_elem] * len(sig) + [w_id])
+    w_size, w_elem = width(1 + 3 * 2), width(2)
+    out.write_fixed(len(entries), width(4))
+    for sig in entries:
+        out.write_fields([len(sig), *sig], [w_size] + [w_elem] * len(sig))
     encode_sequence(y, out)
     return BitReader(out.to_bytes())
 
 
 def test_decoded_vertices_of_one_type_share_one_profile():
-    reader = vertex_type_block([((2, 1, 1, 2), 1), ((1,), 2)], [1, 2, 1, 1])
+    reader = vertex_type_block([(1,), (2, 1, 1, 2)], [2, 1, 2, 2])
     theta, deg = decode_vertex_types(reader, 4, 2, 1, 2, 1)
     assert theta == [0, 2, 1, 2, 2]
     assert deg[1:] == [{(1, 1): 2}, {}, {(1, 1): 2}, {(1, 1): 2}]
@@ -274,10 +278,10 @@ def test_decoded_vertices_of_one_type_share_one_profile():
 
 
 @pytest.mark.parametrize("entries, y, message", [
-    ([((1,), 1), ((2,), 1)], [1, 1, 1, 1], "dictionary id"),  # duplicate id
-    ([((1, 1), 1)], [1, 1, 1, 1], "malformed"),  # 1 + 3k elements required
-    ([((), 1)], [1, 1, 1, 1], "malformed"),  # no mark
-    ([((1,), 1)], [1, 2, 1, 1], "id out of range"),  # id symbol count + 1
+    ([(1, 1, 2, 1)], [1, 1, 1, 1], "profile label"),  # label 2 > tcount = 1
+    ([(1, 1)], [1, 1, 1, 1], "malformed"),  # 1 + 3k elements required
+    ([()], [1, 1, 1, 1], "malformed"),  # no mark
+    ([(1,)], [1, 2, 1, 1], "id out of range"),  # id symbol count + 1
 ])
 def test_bad_vertex_type_blocks_raise_codec_error(entries, y, message):
     with pytest.raises(CodecError, match=message):
@@ -382,25 +386,25 @@ def test_edgeless_graph_roundtrip():
 
 
 def test_edgeless_graph_wire_fields():
-    # TCount 0, all-zero star bitmap, a single vertex type, and a
-    # partition-count field of ED(1).
+    # No h in the header, TCount 0, all-zero star bitmap, a single vertex
+    # type with no id field, no partition graph, then the pad and the CRC.
     g = EdgeListGraph(n=3, sigma_v=1, sigma_e=1, theta=(1, 1, 1), edges=())
     data = encode_marked_graph(g, 2, 3)
     r = BitReader(data)
     assert bytes(r.read_fixed(8) for _ in range(4)) == b"LWCG"
-    assert r.read_fixed(8) == 1
-    assert [r.read_elias_delta() for _ in range(5)] == [3, 1, 1, 2, 3]
+    assert r.read_fixed(8) == VERSION == 2
+    assert [r.read_elias_delta() for _ in range(4)] == [3, 1, 1, 3]
     assert r.read_elias_delta() == 1  # 1 + TCount
-    from lwcg.sequences import decode_sequence
     assert decode_sequence(3, r) == [0, 0, 0]  # star bitmap
     # no star edges, then the vertex-type block: one dictionary entry
     assert r.read_fixed(width(3)) == 1
     size = r.read_fixed(width(1 + 9))
     assert size == 1
     assert r.read_fixed(width(max(1, 1, 0, 3))) == 1  # the lone mark
-    assert r.read_fixed(width(3)) == 1                # its id
     assert decode_sequence(3, r) == [1, 1, 1]          # y
-    assert r.read_elias_delta() == 1                   # no partition graphs
+    assert r.read_fixed(-r.position % 8) == 0          # pad
+    assert r.read_fixed(32) == zlib.crc32(data[:-4])
+    assert r.remaining() == 0
 
 
 def test_identical_isolated_vertices_single_type():
@@ -447,6 +451,45 @@ def test_unsupported_version_rejected(fig_graph):
         decode_marked_graph(bytes(data))
 
 
+def test_version_1_stream_rejected_before_its_checksum():
+    # The triangle of test_triangle_no_stars at h=1, delta=2 in format 1,
+    # which has no CRC trailer.
+    v1 = bytes.fromhex("4c574347015e88d962b296534322bfffffffff")
+    with pytest.raises(CodecError, match="unsupported version 1"):
+        decode_marked_graph(v1)
+
+
+def resealed(body):
+    """body with a CRC-32 trailer of its own: a mutated or cut stream that
+    passes the checksum, so the checks behind it see the damage."""
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
+def test_every_single_bit_flip_raises_codec_error(h, delta):
+    # CRC-32 detects every single-bit error; a flip in the magic or the
+    # version byte fails before the checksum is looked at.
+    data = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
+    mutated = bytearray(data)
+    for pos in range(8 * len(data)):
+        mutated[pos // 8] ^= 1 << (7 - pos % 8)
+        with pytest.raises(CodecError):
+            decode_marked_graph(bytes(mutated))
+        mutated[pos // 8] ^= 1 << (7 - pos % 8)
+
+
+def test_trailing_bytes_raise_codec_error():
+    # Appended junk fails the checksum; resealed, it follows a complete
+    # stream and fails the end-of-stream check.
+    g = gen_synthetic(300, 3.0, 2, 2, 71)
+    data = encode_marked_graph(g, 2, 4)
+    assert canonical_edges(decode_marked_graph(data)) == canonical_edges(g)
+    with pytest.raises(CodecError, match="CRC-32 mismatch"):
+        decode_marked_graph(data + bytes(70))
+    with pytest.raises(CodecError, match="does not end"):
+        decode_marked_graph(resealed(data + bytes(70)))
+
+
 def test_corrupted_streams_never_return_silently_wrong_header(fig_graph):
     # Bit flips anywhere must either raise CodecError or still produce some
     # graph object; truncations must raise CodecError.
@@ -470,10 +513,11 @@ def test_corrupted_synthetic_streams_raise_only_codec_error(h, delta):
     # Bit flips and truncations of a larger stream reach the sequence codec,
     # the vertex-type dictionary and the final graph check: whatever fails
     # must fail as CodecError.
+    # Each mutated body gets a valid CRC, so the decoder parses it.
     rng = random.Random(58)
-    data = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
+    body = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), h, delta)[:-4]
     for t in range(200):
-        mutated = bytearray(data)
+        mutated = bytearray(body)
         if t % 2:
             del mutated[rng.randrange(len(mutated)):]
         else:
@@ -481,9 +525,9 @@ def test_corrupted_synthetic_streams_raise_only_codec_error(h, delta):
                 pos = rng.randrange(len(mutated) * 8)
                 mutated[pos // 8] ^= 1 << (7 - pos % 8)
         try:
-            decode_marked_graph(bytes(mutated))
-        except CodecError:
-            pass
+            decode_marked_graph(resealed(mutated))
+        except CodecError as exc:
+            assert "CRC-32" not in str(exc)
 
 
 def test_roundtrip_random_parameters():
@@ -559,8 +603,8 @@ def test_huge_checkpoint_raises_codec_error(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["drop last", "append 0", "append 5, 7"])
 def test_checkpoint_arrays_the_encoder_never_writes_raise_codec_error(monkeypatch, variant):
-    # One slot short, one zero slot too many, or two nonzero slots too
-    # many: each used to decode back to the input graph.
+    # One checkpoint short, one zero too many, or two nonzero ones too
+    # many: the count no longer matches the split nodes.
     import lwcg.pipeline as pipeline
     g = gen_synthetic(300, 3.0, 1, 1, 71)  # one simple partition graph
     s_encode = pipeline.s_encode
@@ -603,15 +647,23 @@ def channel_spans(monkeypatch, g, h, delta):
 
 @pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
 def test_stream_without_its_partition_graphs_raises_codec_error(monkeypatch, h, delta):
-    # The stream up to the end of the vertex-type block, then ED(1): zero
-    # partition graphs, while the degree profiles still declare them.
+    # The stream up to the end of the vertex-type block, zero-padded and
+    # resealed: no partition graph, while the degree profiles still
+    # declare them.
     import lwcg.pipeline as pipeline
-    find = pipeline.find_partition_graphs
-    monkeypatch.setattr(pipeline, "find_partition_graphs", lambda *args: (find(*args)[0], {}))
+    ends = []
+    encode = pipeline.encode_vertex_types
+
+    def encode_and_mark(*args):
+        encode(*args)
+        ends.append(args[-1].bit_length)
+
+    monkeypatch.setattr(pipeline, "encode_vertex_types", encode_and_mark)
     data = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
     monkeypatch.undo()
-    with pytest.raises(CodecError, match="0 partition graphs for"):
-        decode_marked_graph(data)
+    with pytest.raises(CodecError) as info:
+        decode_marked_graph(resealed(cut(data, ends[0])))
+    assert "CRC-32 mismatch" not in str(info.value)
 
 
 def cut(data, nbits):
@@ -632,5 +684,6 @@ def test_streams_cut_inside_star_edges_or_dictionary_raise_codec_error(monkeypat
         cuts.update(range(start, end, max(1, (end - start) // 100)))
     assert len(cuts) >= 100
     for nbits in sorted(cuts):
-        with pytest.raises(CodecError):
-            decode_marked_graph(cut(data, nbits))
+        with pytest.raises(CodecError) as info:
+            decode_marked_graph(resealed(cut(data, nbits)))
+        assert "CRC-32 mismatch" not in str(info.value)

@@ -1,13 +1,14 @@
 """The divide-and-conquer driver and the per-vertex step shared by the
 rank codecs."""
 
+import math
 import random
 
 import pytest
 
 from lwcg.fenwick import SuffixFenwick
 from lwcg.ranking import count_vertex, decode_vertex, ratio_tree, split_nodes
-from lwcg.simple_graph import checkpoint_len, split_threshold
+from lwcg.simple_graph import split_threshold
 
 
 def reference_split_nodes(n, thr):
@@ -38,11 +39,12 @@ def test_split_nodes_are_the_wide_nodes_parents_first():
 
 @pytest.mark.parametrize("sizes", [range(2, 20_001), [10**5, 10**6 + 3, 4 * 10**6 + 1, 10**7]])
 def test_checkpoint_slots_cover_every_split(sizes):
-    # The encoder writes cps[x] for each split node x, into
-    # checkpoint_len(pn) + 1 slots.
+    # The encoder writes one checkpoint per split node, and no other: fewer
+    # than 16 pn / ln^2 pn of them, the slot count of the format that
+    # indexed checkpoints by node.
     for pn in sizes:
-        top = max((x for x, _, _ in split_nodes(pn, split_threshold(pn))), default=0)
-        assert top <= checkpoint_len(pn), pn
+        splits = sum(1 for _ in split_nodes(pn, split_threshold(pn)))
+        assert splits <= 16 * pn / math.log(pn) ** 2, pn
 
 
 def test_ratio_tree_multiplies_leaves_up_to_the_spine():

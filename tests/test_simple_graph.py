@@ -6,9 +6,9 @@ import pytest
 import lwcg.simple_graph as simple_graph
 from lwcg.fenwick import SuffixFenwick
 from lwcg.intmath import ceil_div, double_factorial_ratio, prod_factorial
+from lwcg.ranking import split_nodes
 from lwcg.simple_graph import (
     SimpleInstance,
-    checkpoint_len,
     checkpoint_tree,
     s_configuration_count,
     s_count_oracle,
@@ -66,9 +66,7 @@ def test_single_edge():
     inst = instance_from_edges(2, [(1, 2)])
     f, cps = s_encode(inst)
     assert f == 0
-    assert cps[1] == 0  # S_2 = 2 - 2*1
-    assert all(v == 0 for v in cps[2:])
-    assert len(cps) - 1 == checkpoint_len(2) == 66
+    assert cps == [0, 0]  # the one split stores S_2 = 2 - 2*1
     assert s_count_oracle(inst) == 0
 
 
@@ -138,27 +136,26 @@ def test_checkpoint_values_and_bounds():
         inst = random_instance(rng, max_n=30, max_deg=5)
         f, cps = s_encode(inst)
         s = sum(inst.a)
-        assert len(cps) - 1 == checkpoint_len(inst.pn)
         assert all(0 <= v <= s for v in cps[1:])
-        # Reference pass: recompute S at each stored midpoint directly.
+        # Reference pass: recompute S at each split's midpoint directly, in
+        # the recursion's own order (parents first, left before right).
         thr = split_threshold(inst.pn)
         ahat = [len(x) for x in inst.fwd]
 
         def s_at(i):  # S_i = sum of residual degrees from i on
             return s - 2 * sum(ahat[: i - 1])
 
-        expected = [0] * len(cps)
+        expected = [0]
 
-        def walk(i, j, idx):
-            if i == j:
+        def walk(i, j):
+            if j - i + 1 <= thr:
                 return
             k = (i + j) // 2
-            if j - i + 1 > thr:
-                expected[idx] = s_at(k + 1)
-            walk(i, k, 2 * idx)
-            walk(k + 1, j, 2 * idx + 1)
+            expected.append(s_at(k + 1))
+            walk(i, k)
+            walk(k + 1, j)
 
-        walk(1, inst.pn, 1)
+        walk(1, inst.pn)
         assert list(cps) == expected
 
 
@@ -267,20 +264,20 @@ def test_bad_checkpoints_raise_value_error():
 
 
 def test_checkpoint_in_a_slot_no_split_uses_raises_value_error():
+    # There is one checkpoint per split node and no filler: a checkpoint
+    # past the last split, zero or not, is refused.
     rng = random.Random(37)
     inst = sparse_instance(rng, 200, 20, 900)
     f, cps = s_encode(inst)
-    assert s_decode(f, list(cps) + [0], inst.a) == inst.fwd  # zero filler is harmless
-    used = {x for x, _, _ in checkpoint_nodes(inst.pn, cps)}
-    spare = next(x for x in range(1, len(cps)) if x not in used)
-    for broken in (list(cps) + [5], cps[:spare] + [2] + cps[spare + 1:]):
-        with pytest.raises(ValueError, match="where no split stores one"):
+    assert len(cps) - 1 == len(list(split_nodes(inst.pn, split_threshold(inst.pn))))
+    for broken in (list(cps) + [0], list(cps) + [5]):
+        with pytest.raises(ValueError, match=f"{len(cps)} checkpoints for {len(cps) - 1} splits"):
             s_decode(f, broken, inst.a)
 
 
 def checkpoint_nodes(pn, cps):
-    """(x, s_{k+1}, s_{j+1}) for each checkpoint node x, k its split, in
-    the order the decoder's recursion visits them."""
+    """(x, m, s_{k+1}, s_{j+1}) for each split node x, k its split and
+    cps[m] its checkpoint, in the order the encoder lists them."""
     thr = split_threshold(pn)
     out = []
 
@@ -288,8 +285,9 @@ def checkpoint_nodes(pn, cps):
         if j - i + 1 <= thr:
             return
         k = (i + j) // 2
-        out.append((x, cps[x], s_j1))
-        walk(2 * x, i, k, cps[x])
+        m = len(out) + 1
+        out.append((x, m, cps[m], s_j1))
+        walk(2 * x, i, k, cps[m])
         walk(2 * x + 1, k + 1, j, s_j1)
 
     walk(1, 1, pn, 0)
@@ -303,12 +301,12 @@ def test_checkpoint_ratios_match_double_factorial_ratio(pn, m):
         inst = sparse_instance(rng, pn, 20, m)
         _, cps = s_encode(inst)
         nodes = checkpoint_nodes(pn, cps)
-        assert max(x for x, _, _ in nodes).bit_length() >= 4  # four levels or more
+        assert max(x for x, _, _, _ in nodes).bit_length() >= 4  # four levels or more
         _, tree = checkpoint_tree(cps, inst.a)
-        for x, s_k1, s_j1 in nodes:
+        for x, _, s_k1, s_j1 in nodes:
             assert tree[2 * x + 1] == double_factorial_ratio(s_k1, s_j1), x
         # The decoder reads right children only; the left spine is never built.
-        assert all(tree[x] is None for x, _, _ in nodes if x & (x - 1) == 0)
+        assert all(tree[x] is None for x, _, _, _ in nodes if x & (x - 1) == 0)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -348,11 +346,11 @@ def test_huge_checkpoint_raises_before_any_large_product(monkeypatch, which):
     inst = sparse_instance(rng, 400, 20, 800)
     f, cps = s_encode(inst)
     nodes = checkpoint_nodes(inst.pn, cps)
-    x = nodes[0][0] if which == "root" else max(nodes)[0]
+    m = nodes[0][1] if which == "root" else max(nodes)[1]
     broken = list(cps)
-    broken[x] = 1 << 40
+    broken[m] = 1 << 40
     calls = count_calls(monkeypatch, simple_graph, "compute_product")
     with pytest.raises(ValueError) as info:
         s_decode(f, broken, inst.a)
     assert max((k for _, k, _ in calls), default=0) <= sum(inst.a)
-    assert str(info.value).startswith(f"checkpoint {x} is {1 << 40}")
+    assert str(info.value).startswith(f"checkpoint {m} is {1 << 40}")

@@ -34,7 +34,7 @@ print("star vertices:", [v for v in range(1, graph.n + 1) if stars[v]])
 deg = find_deg(nl, table)
 print("degree profiles:  Deg_2 =", deg[2], "  Deg_7 =", deg[7])
 
-pdeg, padj, pidx = find_partition_graphs(nl, table, deg)
+pdeg, padj = find_partition_graphs(nl, table, deg)
 for key in sorted(padj):
     kind = "bipartite" if key[0] != key[1] else "simple"
     print(f"partition graph {key} ({kind}): degrees {tuple(pdeg[key])}")

@@ -45,10 +45,8 @@ def cmd_compress(args) -> int:
         table = extract_types(nl, args.h, args.delta)
         s = find_star_vertices(nl, table)
         deg = find_deg(nl, table)
-        _, adj, _ = find_partition_graphs(nl, table, deg)
-        n_star_edges = sum(
-            1 for v in range(1, g.n + 1) for i in range(nl.deg[v])
-            if table.is_star_edge(v, i) and nl.gamma[v][i] > v)
+        _, adj = find_partition_graphs(nl, table, deg)
+        n_star_edges = int((table.star & (nl.nbr > nl.owner)).sum())
         print(f"types={table.tcount} star_vertices={sum(s[1:])} "
               f"star_edges={n_star_edges} partition_graphs={len(adj)} "
               f"partition_keys={sorted(adj)}")

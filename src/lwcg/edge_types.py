@@ -8,39 +8,46 @@ delta: any neighborhood that exceeds the cap collapses to a degenerate
 pass forces both sides of an edge to star when either side is starred or
 either endpoint degree exceeds delta.
 
-One path serves every h.  The directed edges live in flat arrays in
-(vertex, neighbor) order; round 0, the symmetrization and the label pairs
-are numpy passes over them, and each message round is one loop over the
-vertices that reads the labels coming back along the reverse edges.
+One path serves every h.  It reads the half-edge arrays of
+`NeighborListGraph` as they are and returns one label per half-edge plus
+a star mask over them.  Round 0 and the symmetrization are numpy passes,
+and each message round is one loop over the vertices that slices one mark
+list and reads the labels coming back along the mirror half-edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
-from .graph_model import NeighborListGraph
+from .graph_model import NeighborListGraph, per_vertex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeTypeTable:
-    """Result of type extraction.
+    """Result of type extraction over the graph's half-edges.
 
-    c[v][i] is a pair of labels for the edge between v and its i-th
-    neighbor: (label of v's side, label of the neighbor's side).  Labels
-    are 1..tcount; t_is_star and t_mark are 1-based (slot 0 padding).
+    label[e] in 1..tcount is the label of half-edge e and star[e] whether
+    it is a star; symmetrization stars both sides of an edge or neither.
+    t_is_star and t_mark are 1-based per label (slot 0 padding).  c[v][i],
+    a view built on first use, pairs the label of v's i-th half-edge with
+    the label of its mirror.
     """
 
     tcount: int
     t_is_star: tuple
     t_mark: tuple
-    c: tuple
+    label: np.ndarray
+    star: np.ndarray
+    start: np.ndarray     # the graph's offsets and mirrors, for c
+    mirror: np.ndarray
 
-    def is_star_edge(self, v: int, i: int) -> bool:
-        # Symmetrization stars both sides of an edge or neither.
-        return self.t_is_star[self.c[v][i][0]] == 1
+    @cached_property
+    def c(self) -> tuple:
+        pairs = list(zip(self.label.tolist(), self.label[self.mirror].tolist()))
+        return per_vertex(self.start, pairs)
 
 
 class _LabelState:
@@ -80,32 +87,21 @@ def _first_seen(keys):
 
 
 def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
-    """Label all directed edges of g with h-1 message rounds, cap delta.
+    """Label all half-edges of g with h-1 message rounds, cap delta.
 
-    The directed edges are numbered in (vertex, neighbor) order and every
-    per-edge quantity is one flat array over them; label[e] is the current
-    label of side e and label[mirror[e]] the one its neighbor sends back.
-    Labels are numbered in first-seen order over that traversal.
+    Every per-edge quantity is one flat array over g's half-edges, in
+    (owner, neighbor) order; label[e] is the current label of side e and
+    label[mirror[e]] the one its neighbor sends back.  Labels are numbered
+    in first-seen order over that traversal.
     """
     if h < 1 or delta < 1:
         raise ValueError("need h >= 1 and delta >= 1")
-    n, x, theta = g.n, g.x, g.theta
-    deg = np.array(g.deg, dtype=np.int64)
-    start = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(deg, out=start[1:])
-    total = int(start[-1])
-
-    def flat(rows):
-        return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
-
-    nbr = flat(g.gamma)
-    mirror = start[nbr] + flat(g.gammat) - 1  # slot of the reverse edge
-    mark = flat(x)
-    owner = np.repeat(np.arange(n + 1), deg)
+    n, theta = g.n, g.theta
+    start, owner, nbr, mark, mirror = g.start, g.owner, g.nbr, g.mark, g.mirror
 
     # Round 0: each side's message is (own mark, 0, edge mark toward self);
     # sending the distinct messages in first-seen order numbers them 1, 2, ...
-    base = int(mark.max()) + 1 if total else 1
+    base = int(mark.max()) + 1 if len(mark) else 1
     messages, label = _first_seen(np.array(theta, dtype=np.int64)[owner] * base + mark)
     label += 1
     state = _LabelState()
@@ -115,16 +111,18 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
     for _ in range(1, h):
         is_star_old = state.is_star
         inbound = label[mirror].tolist()
+        marks, bounds = mark.tolist(), start.tolist()
         state = _LabelState()
         send = state.send
         star_of = {}  # mark -> this round's star label (0, mark)
         out = []
         for v in range(1, n + 1):
-            xv = x[v]
-            d = len(xv)
+            lo, hi = bounds[v], bounds[v + 1]
+            xv = marks[lo:hi]
+            d = hi - lo
             if d <= delta:
                 # Last round's inbound messages paired with the mark toward v.
-                s = list(zip(inbound[len(out):len(out) + d], xv))
+                s = list(zip(inbound[lo:hi], xv))
                 stars = [i for i in range(d) if is_star_old[s[i][0]]]
             if d > delta or len(stars) >= 2:
                 # Every side gets its mark's star: one send per new mark,
@@ -160,23 +158,15 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
 
     # Symmetrization: if the mirror side is a star, or either endpoint
     # degree exceeds delta, this side must be a star too.
-    star = np.array(state.is_star, dtype=bool)
-    big = deg > delta
-    starred = ~star[label] & (star[label[mirror]] | big[owner] | big[nbr])
+    star = np.array(state.is_star, dtype=bool)[label]
+    big = np.diff(start) > delta
+    starred = ~star & (star[mirror] | big[owner] | big[nbr])
     star_marks, star_rank = _first_seen(mark[starred])
     sent = [state.send((0, xi)) for xi in star_marks.tolist()]
     label[starred] = np.array(sent, dtype=np.int64)[star_rank]
-
-    # c pairs each side's label with the mirror side's; equal pairs share
-    # one tuple.
-    tcount = state.count
-    pair_keys, pair_of = np.unique(label * (tcount + 1) + label[mirror], return_inverse=True)
-    pairs = [divmod(k, tcount + 1) for k in pair_keys.tolist()]
-    flat_pairs = [pairs[k] for k in pair_of.reshape(-1).tolist()]
-    bounds = start.tolist()
-    c = ((),) + tuple(tuple(flat_pairs[bounds[v]:bounds[v + 1]]) for v in range(1, n + 1))
-    return EdgeTypeTable(tcount=tcount, t_is_star=tuple(state.is_star),
-                         t_mark=tuple(state.mark), c=c)
+    return EdgeTypeTable(tcount=state.count, t_is_star=tuple(state.is_star),
+                         t_mark=tuple(state.mark), label=label, star=star | starred,
+                         start=start, mirror=mirror)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,16 @@
 A marked graph on vertices 1..n carries a vertex mark in 1..sigma_v per
 vertex and a pair of directed edge marks in 1..sigma_e per edge.  An edge
 record (v, w, x, xp) holds the mark x pointing toward v and xp toward w.
+
+The neighbor-list form is one set of flat half-edge arrays, the layout
+every encoder stage reads; its per-vertex tuples are views for the
+reference oracles, the demos and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -69,29 +74,49 @@ class EdgeListGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class NeighborListGraph:
-    """Neighbor-list form; all per-vertex sequences use slot 0 as padding.
+def per_vertex(start: np.ndarray, flat: list) -> tuple:
+    """flat[start[v]:start[v + 1]] as a tuple per vertex v, after an empty slot 0."""
+    bounds = start.tolist()
+    return ((),) + tuple(tuple(flat[bounds[v]:bounds[v + 1]]) for v in range(1, len(bounds) - 1))
 
-    gamma[v] lists the neighbors of v strictly increasing, x[v][i] is the
-    mark toward v on the edge to gamma[v][i], xp[v][i] the mark toward the
-    neighbor, and gammat[v][i] is the 1-based index of v inside
-    gamma[gamma[v][i]].
+
+def _view(values):
+    """Per-vertex tuples of the half-edge array values(g), built on first use."""
+    return cached_property(lambda g: per_vertex(g.start, values(g).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class NeighborListGraph:
+    """Neighbor-list form as flat half-edge arrays.
+
+    Every edge gives two half-edges, one per endpoint, numbered in (owner,
+    neighbor) order: vertex v owns start[v]:start[v + 1], its neighbors
+    strictly increasing.  Half-edge e runs from owner[e] to nbr[e],
+    mark[e] is the edge mark toward its owner and mirror[e] is the
+    reverse half-edge, so mark[mirror[e]] is the mark toward the neighbor.
+
+    The per-vertex tuples are views built on first use, slot 0 padding:
+    deg[v], gamma[v] (the neighbors), x[v] and xp[v] (the marks toward v
+    and toward each neighbor), and gammat[v][i], the 1-based index of v
+    inside gamma[gamma[v][i]].
     """
 
     n: int
     sigma_v: int
     sigma_e: int
     theta: tuple          # padded: theta[v] for v in 1..n
-    deg: tuple
-    gamma: tuple
-    gammat: tuple
-    x: tuple
-    xp: tuple
+    start: np.ndarray     # n + 2 offsets
+    owner: np.ndarray
+    nbr: np.ndarray
+    mark: np.ndarray
+    mirror: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return sum(self.deg[1:]) // 2
+    deg = cached_property(lambda g: tuple(np.diff(g.start).tolist()))
+    gamma = _view(lambda g: g.nbr)
+    gammat = _view(lambda g: g.mirror - g.start[g.nbr] + 1)
+    x = _view(lambda g: g.mark)
+    xp = _view(lambda g: g.mark[g.mirror])
+    m = property(lambda g: len(g.nbr) // 2)
 
 
 def parse_edge_list(text: str) -> EdgeListGraph:
@@ -160,42 +185,24 @@ def format_edge_list(g: EdgeListGraph) -> str:
 
 
 def preprocess(g: EdgeListGraph) -> NeighborListGraph:
-    """Convert to neighbor lists sorted by neighbor.
+    """Convert to flat half-edge arrays sorted by (owner, neighbor).
 
-    Each record gives two half-edges, one per endpoint; sorting them by
-    (owner, neighbor) lays out every neighbor list increasing, so the
-    result does not depend on record order or orientation.  gammat of a
-    half-edge is one plus the rank of its reverse within the neighbor's
-    list.  The sort and the rank bookkeeping run on flat arrays, and each
-    per-vertex tuple is one slice of them.
+    Record i gives half-edge i from v to w and half-edge m + i back; one
+    sort lays out every neighbor list increasing, so the result does not
+    depend on record order or orientation.
     """
     n, m = g.n, len(g.edges)
     rec = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=4 * m).reshape(m, 4)
     v, w, x, xp = rec.T
-    own = np.concatenate((v, w))
-    nbr = np.concatenate((w, v))
-    order = np.lexsort((nbr, own))
-    deg = np.bincount(own, minlength=n + 1)
-    start = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(deg, out=start[1:])
+    owner, nbr = np.concatenate((v, w)), np.concatenate((w, v))
+    order = np.argsort(owner * (n + 1) + nbr)  # distinct keys: the graph is simple
     slot = np.empty(2 * m, dtype=np.int64)  # sorted position of each half-edge
     slot[order] = np.arange(2 * m)
-    rank = slot - start[own]
-    mirror_rank = np.concatenate((rank[m:], rank[:m]))
-    bounds = start.tolist()
-    vertex = list(range(n + 1))  # one int object per vertex id, shared
-
-    def per_vertex(values, shared=None) -> tuple:
-        flat = values[order].tolist()
-        if shared is not None:
-            flat = list(map(shared.__getitem__, flat))
-        return ((),) + tuple(tuple(flat[bounds[u]:bounds[u + 1]]) for u in range(1, n + 1))
-
+    start = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n + 1), out=start[1:])
     return NeighborListGraph(
         n=n, sigma_v=g.sigma_v, sigma_e=g.sigma_e, theta=(0,) + tuple(g.theta),
-        deg=tuple(deg.tolist()),
-        gamma=per_vertex(nbr, vertex),
-        gammat=per_vertex(mirror_rank + 1),
-        x=per_vertex(np.concatenate((x, xp))),
-        xp=per_vertex(np.concatenate((xp, x))),
+        start=start, owner=owner[order], nbr=nbr[order],
+        mark=np.concatenate((x, xp))[order],
+        mirror=np.concatenate((slot[m:], slot[:m]))[order],
     )

@@ -23,6 +23,11 @@ decoded vertices of one type share one profile.  Profiles fix the
 partition tables, keys included, and both sides build them with one
 grouping; the stream carries only the ranks and each simple graph's
 checkpoints, one per split node.
+
+The encoder's stages read the half-edge arrays and labels: the star
+bitmap is one scatter, the star channel one stable sort, the degree
+profiles one np.unique over packed (vertex, label pair) keys, and the
+partition graphs one stable sort by label pair.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ import functools
 import gc
 import zlib
 
+import numpy as np
+
 from .bipartite import BipartiteInstance, b_decode, b_encode
 from .bits import BitReader, BitWriter, CodecError, width
 from .edge_types import EdgeTypeTable, extract_types
 from .graph_model import EdgeListGraph, GraphFormatError, NeighborListGraph, preprocess
-from .ranking import split_nodes
 from .sequences import decode_sequence, encode_sequence
-from .simple_graph import SimpleInstance, s_decode, s_encode, split_threshold
+from .simple_graph import SimpleInstance, s_decode, s_encode
 
 MAGIC = b"LWCG"
 VERSION = 2
@@ -45,14 +51,9 @@ VERSION = 2
 
 def find_star_vertices(g: NeighborListGraph, table: EdgeTypeTable) -> list:
     """Bitmap (1-based) of vertices incident to at least one star edge."""
-    s = [0] * (g.n + 1)
-    is_star = table.t_is_star
-    for v in range(1, g.n + 1):
-        for t, _ in table.c[v]:
-            if is_star[t]:
-                s[v] = 1
-                break
-    return s
+    s = np.zeros(g.n + 1, dtype=np.int64)
+    s[g.owner[table.star]] = 1
+    return s.tolist()
 
 
 def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWriter) -> None:
@@ -61,32 +62,24 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     For each (x, xp) in row-major order over the mark alphabet and each
     star vertex v increasing: a 1 bit plus the neighbor index for every
     incident star edge with marks (x, xp) whose far endpoint is above v,
-    then a closing 0 bit.  One pass buckets the edges by mark pair; each
-    record and each run of closing 0 bits is one field, and one
-    write_fields call writes them all.
+    then a closing 0 bit.  So the record of half-edge e from v follows
+    row * |stars| + (v's position among the stars) closing 0 bits; one
+    stable sort on that count puts the records in stream order, and one
+    write_fields call writes each with the run of 0 bits before it.
     """
     nbits = width(g.n)
-    flag = 1 << nbits
-    is_star = table.t_is_star
-    star = [v for v in range(1, g.n + 1) if s[v]]
-    if not star:  # every row would be zero-width
+    star = np.flatnonzero(s)
+    if not len(star):  # every row would be zero-width
         return
-    rows = {}  # (x, xp) -> [(position of v in star, far endpoint w), ...]
-    for pos, v in enumerate(star):
-        for (t, _), w, x, xp in zip(table.c[v], g.gamma[v], g.x[v], g.xp[v]):
-            if w > v and is_star[t]:
-                rows.setdefault((x, xp), []).append((pos, w))
-    fields = []  # value, width, value, width, ...
-    for x in range(1, g.sigma_e + 1):
-        for xp in range(1, g.sigma_e + 1):
-            closed = 0  # star vertices whose closing 0 bit is written
-            for pos, w in rows.get((x, xp), ()):
-                if pos > closed:
-                    fields += (0, pos - closed)
-                    closed = pos
-                fields += (flag | w, nbits + 1)
-            fields += (0, len(star) - closed)
-    out.write_fields(fields[0::2], fields[1::2])
+    e = np.flatnonzero(table.star & (g.nbr > g.owner))
+    row = (g.mark[e] - 1) * g.sigma_e + g.mark[g.mirror[e]] - 1
+    closed = row * len(star) + np.searchsorted(star, g.owner[e])
+    order = np.argsort(closed, kind="stable")
+    values = np.zeros(2 * len(e) + 1, dtype=np.int64)
+    values[1::2] = (1 << nbits) | g.nbr[e[order]]
+    widths = np.full(2 * len(e) + 1, nbits + 1, dtype=np.int64)
+    widths[0::2] = np.diff(closed[order], prepend=0, append=g.sigma_e ** 2 * len(star))
+    out.write_fields(values, widths)
 
 
 def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
@@ -109,15 +102,20 @@ def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
 
 
 def find_deg(g: NeighborListGraph, table: EdgeTypeTable) -> list:
-    """Per-vertex degree profiles: (label, mirror label) -> count, 1-based."""
-    is_star = table.t_is_star
-    deg = [None] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        prof = {}
-        for key in table.c[v]:
-            if not is_star[key[0]]:
-                prof[key] = prof.get(key, 0) + 1
-        deg[v] = prof
+    """Per-vertex degree profiles: (label, mirror label) -> count, 1-based.
+
+    One np.unique counts the non-star half-edges per packed (vertex, label
+    pair) key, the pairs numbered in sorted order first.
+    """
+    e = np.flatnonzero(~table.star)
+    t = table.tcount + 1
+    codes, pair = np.unique(table.label[e] * t + table.label[g.mirror[e]], return_inverse=True)
+    keys, counts = np.unique(g.owner[e] * len(codes) + pair, return_counts=True)
+    pairs = [divmod(code, t) for code in codes.tolist()]
+    deg = [{} for _ in range(g.n + 1)]
+    for v, k, count in zip((keys // len(codes)).tolist(), (keys % len(codes)).tolist(),
+                           counts.tolist()):
+        deg[v][pairs[k]] = count
     return deg
 
 
@@ -160,6 +158,7 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
     count = reader.read_fixed(width(n))
     types = [None]
+    prev = []
     for _ in range(count):
         size = reader.read_fixed(w_size)
         if size * w_elem > reader.remaining():
@@ -167,6 +166,9 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
         sig = reader.read_fields([w_elem] * size)
         if not sig or (len(sig) - 1) % 3:
             raise CodecError("malformed vertex-type signature")
+        if sig <= prev:
+            raise CodecError("vertex-type dictionary is not strictly increasing")
+        prev = sig
         if not 1 <= sig[0] <= sigma_v:
             raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
         profile = {(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
@@ -199,33 +201,35 @@ def _partition_tables(deg, n):
 def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, deg):
     """Group non-star edges by type pair.
 
-    Returns (partition_deg, partition_adj, partition_index): degree arrays
-    keyed by ordered label pairs, adjacency lists keyed by pairs with
-    i <= i' (bipartite lists for i < i', forward lists for i == i'), and
-    each vertex's rank within its groups.
+    Returns (partition_deg, partition_adj): degree arrays keyed by ordered
+    label pairs, and adjacency lists keyed by pairs with i <= i'
+    (bipartite lists for i < i', forward lists for i == i').  A vertex's
+    rank in group (i, i') is its 1-based position among the group's
+    members, the grouping the decoder builds from the same profiles.
     """
     # Called by its private name, so a tracer that wraps
     # decode_partition_structures times only the decoder's call.
     partition_deg, members = _partition_tables(deg, g.n)
-    partition_index = [None] + [{} for _ in range(g.n)]
-    for key, vertices in members.items():
-        for rank, v in enumerate(vertices, 1):
-            partition_index[v][key] = rank
-
-    partition_adj = {key: [[] for _ in arr] for key, arr in partition_deg.items()
-                     if key[0] <= key[1]}
-
     # Each edge is listed once, from the endpoint on the i side of its key
     # (i, i'), i <= i'; within a simple partition graph (i == i') ranks
-    # follow vertex order, so the lower endpoint lists it.
-    is_star = table.t_is_star
-    for v in range(1, g.n + 1):
-        index_v = partition_index[v]
-        for (i, ip), w in zip(table.c[v], g.gamma[v]):
-            if i > ip or (i == ip and w < v) or is_star[i]:
-                continue
-            partition_adj[(i, ip)][index_v[(i, ip)] - 1].append(partition_index[w][(ip, i)])
-    return partition_deg, partition_adj, partition_index
+    # follow vertex order, so the lower endpoint lists it.  A stable sort
+    # by key keeps the (owner, neighbor) order inside each group.
+    label, far_label = table.label, table.label[g.mirror]
+    listed = (label < far_label) | (label == far_label) & (g.nbr > g.owner)
+    e = np.flatnonzero(listed & ~table.star)
+    t = table.tcount + 1
+    key = label[e] * t + far_label[e]
+    order = np.argsort(key, kind="stable")
+    e, key = e[order], key[order]
+    partition_adj = {}
+    for i, ip in sorted(k for k in members if k[0] <= k[1]):
+        lo, hi = np.searchsorted(key, (i * t + ip, i * t + ip + 1)).tolist()
+        near, far = np.array(members[(i, ip)]), np.array(members[(ip, i)])
+        rows = np.searchsorted(near, g.owner[e[lo:hi]])
+        ranks = (np.searchsorted(far, g.nbr[e[lo:hi]]) + 1).tolist()
+        b = np.searchsorted(rows, np.arange(len(near) + 1)).tolist()
+        partition_adj[(i, ip)] = tuple(tuple(ranks[x:y]) for x, y in zip(b, b[1:]))
+    return partition_deg, partition_adj
 
 
 # The decoder's tables; member lists map ranks back to original vertices.
@@ -278,13 +282,11 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     encode_vertex_types(deg, nl.theta, g.n, delta, g.sigma_e, g.sigma_v,
                         table.tcount, out)
 
-    partition_deg, partition_adj = find_partition_graphs(nl, table, deg)[:2]
+    partition_deg, partition_adj = find_partition_graphs(nl, table, deg)
     # The ranks need only the partition graphs; drop the per-vertex tables
     # so the big-int work below runs in a smaller heap.
     del nl, table, deg, s
-    for key in sorted(partition_adj):
-        i, ip = key
-        adj = tuple(tuple(row) for row in partition_adj[key])
+    for (i, ip), adj in sorted(partition_adj.items()):
         if i < ip:
             inst = BipartiteInstance(a=tuple(partition_deg[(i, ip)]),
                                      b=tuple(partition_deg[(ip, i)]),
@@ -336,9 +338,10 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     for i, ip in sorted(key for key in partition_deg if key[0] <= key[1]):
         f = reader.read_elias_delta() - 1
         if i == ip:
+            # At most pn - 1 split nodes; s_decode checks the exact count.
             ln = reader.read_elias_delta() - 1
             pn = len(partition_deg[(i, i)])
-            if pn < 2 or ln != sum(1 for _ in split_nodes(pn, split_threshold(pn))):
+            if pn < 2 or ln >= pn:
                 raise CodecError(f"partition ({i},{i}): {ln} checkpoints for {pn} vertices")
             cps = [0] + [reader.read_elias_delta() - 1 for _ in range(ln)]
         try:

@@ -180,7 +180,7 @@ def test_criterion_4_structural_invariants():
         assert table.tcount <= 4 * g.m
         deg = find_deg(nl, table)
         m_star = sum(1 for v in range(1, n + 1) for i in range(nl.deg[v])
-                     if table.is_star_edge(v, i) and nl.gamma[v][i] > v)
+                     if table.star[nl.start[v] + i] and nl.gamma[v][i] > v)
         assert sum(sum(d.values()) for d in deg[1:]) == 2 * (g.m - m_star)
         for v in range(1, n + 1):
             assert sum(deg[v].values()) <= delta
@@ -203,7 +203,7 @@ def test_criterion_5_sample_graph_fixtures(monkeypatch):
     assert deg[2] == {(3, 4): 2}
     assert deg[7] == {(4, 3): 1, (5, 5): 1}
 
-    pdeg, padj, _ = find_partition_graphs(nl, table, deg)
+    pdeg, padj = find_partition_graphs(nl, table, deg)
     assert sorted(padj) == [(3, 4), (5, 5)]
     assert {k: tuple(v) for k, v in pdeg.items()} == {
         (3, 4): (2,) * 5, (4, 3): (1,) * 10, (5, 5): (1,) * 10}

@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+import numpy as np
+
 from conftest import random_marked_graph
 from lwcg.edge_types import (
     MarkedTree,
@@ -145,7 +147,9 @@ def test_determinism():
     rng = random.Random(19)
     g = random_marked_graph(rng, 20, 0.3, 2, 2)
     nl = preprocess(g)
-    assert extract_types(nl, 2, 3) == extract_types(nl, 2, 3)
+    a, b = extract_types(nl, 2, 3), extract_types(nl, 2, 3)
+    assert (a.tcount, a.t_is_star, a.t_mark) == (b.tcount, b.t_is_star, b.t_mark)
+    assert np.array_equal(a.label, b.label) and np.array_equal(a.star, b.star)
 
 
 def test_tcount_bound():

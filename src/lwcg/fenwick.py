@@ -1,5 +1,6 @@
 """Fenwick tree over suffix sums, as both ranking codecs consume it: point
-updates and a descent that returns the suffix sum where it lands."""
+updates, and a descent that returns the suffix sum where it lands and
+drains the entry just before it."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ class SuffixFenwick:
     """Point updates and suffix sums over a 1-based integer array.
 
     suffix_sum(k) returns sum(a[k..n]); the codecs repeatedly drain
-    half-edge counts with add(k, -1) while querying residual totals.
+    half-edge counts, with add(k, -1) or drain_first_at_most, while
+    querying residual totals.
     Implemented as a classic prefix Fenwick tree over the reversed index,
     so the suffix orientation is native rather than prefix-minus-prefix.
     """
@@ -54,15 +56,16 @@ class SuffixFenwick:
             i -= i & -i
         return total
 
-    def first_at_most(self, s: int) -> tuple:
+    def drain_first_at_most(self, s: int) -> tuple:
         """(k, suffix_sum(k)) for the smallest k in [1, n+1] with
-        suffix_sum(k) <= s; (n+1, 0) when s < 0.
+        suffix_sum(k) <= s, and a[k-1] lowered by one (no a[0] when k = 1).
 
         One top-down descent to the largest reversed index whose prefix
-        sum, suffix_sum(k), stays <= s.  Requires every a[k] >= 0.
+        sum, suffix_sum(k), stays <= s.  The nodes it passes without
+        moving are exactly the nodes that hold a[k-1], so it drains them
+        on the way down instead of walking the tree again (Fenwick 1994).
+        Requires every a[k] >= 0; a negative s lands on k = n+1.
         """
-        if s < 0:
-            return self._n + 1, 0
         tree = self._tree
         n = self._n
         pos = 0
@@ -70,9 +73,13 @@ class SuffixFenwick:
         step = self._top
         while step:
             nxt = pos + step
-            if nxt <= n and tree[nxt] <= left:
-                pos = nxt
-                left -= tree[nxt]
+            if nxt <= n:
+                t = tree[nxt]
+                if t <= left:
+                    pos = nxt
+                    left -= t
+                else:
+                    tree[nxt] = t - 1
             step >>= 1
         return n - pos + 1, s - left
 

@@ -55,23 +55,63 @@ class EdgeListGraph:
             if not 1 <= mark <= self.sigma_v:
                 raise GraphFormatError(f"vertex {v}: mark {mark} outside 1..{self.sigma_v}",
                                        record=0)
-        seen = set()
-        for record, (v, w, x, xp) in enumerate(self.edges, start=1):
-            if not (1 <= v <= self.n and 1 <= w <= self.n):
-                raise GraphFormatError(f"edge ({v},{w}): endpoint out of range", record=record)
-            if v == w:
-                raise GraphFormatError(f"self loop at vertex {v}", record=record)
-            if not (1 <= x <= self.sigma_e and 1 <= xp <= self.sigma_e):
-                raise GraphFormatError(f"edge ({v},{w}): mark outside 1..{self.sigma_e}",
-                                       record=record)
-            key = (v, w) if v < w else (w, v)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge {{{key[0]},{key[1]}}}", record=record)
-            seen.add(key)
+        record = _first_bad_record(self.edges, self.n, self.sigma_e)
+        if record is not None:
+            raise GraphFormatError(_record_error(self.edges[record - 1], self.n, self.sigma_e),
+                                   record=record)
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _first_bad_record(edges, n, sigma_e):
+    """1-based index of the first edge record that fails a check of
+    `_record_error` or repeats an earlier pair, or None.
+
+    One pass over an int64 array of the records.  A record that does not
+    fit one, with other than 4 fields or a field beyond int64, fails, and
+    only the records before it are checked.
+    """
+    m = len(edges)
+    try:
+        rec = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=4 * m).reshape(m, 4)
+    except (ValueError, OverflowError):
+        rec = None
+    if rec is None or set(map(len, edges)) - {4}:
+        odd = next(i for i, r in enumerate(edges)
+                   if len(r) != 4 or not all(-_INT64_MAX - 1 <= f <= _INT64_MAX for f in r))
+        return _first_bad_record(edges[:odd], n, sigma_e) or odd + 1
+    v, w, x, xp = rec.T
+    top = min(sigma_e, _INT64_MAX)
+    bad = ((v < 1) | (v > n) | (w < 1) | (w > n) | (v == w)
+           | (x < 1) | (x > top) | (xp < 1) | (xp > top))
+    # A bad record's key may collide with a later one's, but it fails
+    # first anyway: the first flagged record is bad or a true duplicate.
+    key = np.minimum(v, w) * (n + 1) + np.maximum(v, w)
+    repeat = np.ones(m, dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False
+    flagged = np.flatnonzero(bad | repeat)
+    return int(flagged[0]) + 1 if len(flagged) else None
+
+
+def _record_error(edge, n, sigma_e) -> str:
+    """The message for a record that `_first_bad_record` flagged."""
+    if len(edge) != 4:
+        return f"edge record {tuple(edge)}: expected 4 fields"
+    v, w, x, xp = edge
+    if not (1 <= v <= n and 1 <= w <= n):
+        return f"edge ({v},{w}): endpoint out of range"
+    if v == w:
+        return f"self loop at vertex {v}"
+    if not (1 <= x <= sigma_e and 1 <= xp <= sigma_e):
+        return f"edge ({v},{w}): mark outside 1..{sigma_e}"
+    if max(x, xp) > _INT64_MAX:
+        return f"edge ({v},{w}): mark beyond 64 bits"
+    return f"duplicate edge {{{min(v, w)},{max(v, w)}}}"
 
 
 def per_vertex(start: np.ndarray, flat: list) -> tuple:

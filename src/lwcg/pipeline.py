@@ -5,7 +5,7 @@ Wire layout (MSB-first bits):
 
   magic "LWCG", version byte 0x02,
   ED(n) ED(|xi|) ED(|theta|) ED(delta),
-  ED(1+TCount), then per label its mark in width(|xi|) bits,
+  ED(1+TCount), then per label its mark (1..|xi|) in width(|xi|) bits,
   star-vertex bitmap            (sequence codec),
   star edges                    (flagged neighbor lists per mark pair),
   vertex types                  (sorted dictionary + id sequence),
@@ -322,6 +322,9 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     if tcount * w_mark > reader.remaining():
         raise CodecError(f"type count {tcount} exceeds remaining stream")
     t_mark = [0] + reader.read_fields([w_mark] * tcount)
+    bad = next((x for x in t_mark[1:] if not 1 <= x <= sigma_e), None)
+    if bad is not None:
+        raise CodecError(f"type-table mark {bad} outside 1..{sigma_e}")
 
     s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):

@@ -114,8 +114,10 @@ def decode_vertex(res, fen, lo, n, q, ntilde, s_lo):
 
     Neighbor w is the smallest above the last one with
     C(S_{w+1}, q) <= z~, i.e. (S_{w+1})_q <= (z~+1) q! - 1: a threshold on
-    S_{w+1} that one Fenwick descent locates.  S_{lo+1} is carried forward
-    from s_lo, less each residual degree passed.  res needs a 0 at n + 1.
+    S_{w+1}.  When S_{lo+1} is already at most it, w = lo and one `add`
+    drains it; otherwise one Fenwick descent both locates w and drains
+    its half-edge.  S_{lo+1} is carried forward from s_lo, less each
+    residual degree passed.  res needs a 0 at n + 1.
     """
     z_t = ntilde
     z = ZERO
@@ -128,8 +130,10 @@ def decode_vertex(res, fen, lo, n, q, ntilde, s_lo):
         s_max = falling_threshold((z_t + 1) * factorial(q) - 1, q)
         if s > s_max:
             # Lands in (lo, n]: S_{lo+1} is above the threshold.
-            lo, s = fen.first_at_most(s_max)
+            lo, s = fen.drain_first_at_most(s_max)
             lo -= 1
+        else:
+            fen.add(lo, -1)
         y = comb(s, q)
         r = res[lo]
         if not r:
@@ -138,7 +142,6 @@ def decode_vertex(res, fen, lo, n, q, ntilde, s_lo):
         z_t = (z_t - y) // r
         z += l * y
         l *= r
-        fen.add(lo, -1)
         res[lo] = r - 1
         lo += 1
         s -= res[lo]

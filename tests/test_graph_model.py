@@ -50,6 +50,60 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
     assert exc.value.line == bad_line
 
 
+BIG = 2**70
+OK = ((1, 2, 1, 1), (3, 4, 2, 1))
+
+
+# Each message and record is the one the per-record loop gave before the
+# checks were vectorised (n = 4, two vertex and two edge marks), except
+# that the loop let a record of other than 4 fields raise its unpacking
+# error.
+@pytest.mark.parametrize("theta, edges, message, record", [
+    ((1, 3, 1, 2), OK, "vertex 2: mark 3 outside 1..2", 0),
+    ((1, 2, 0, 2), OK, "vertex 3: mark 0 outside 1..2", 0),
+    ((BIG, 2, 1, 2), OK, f"vertex 1: mark {BIG} outside 1..2", 0),
+    ((1, 2, 1, 2), OK + ((0, 3, 1, 1),), "edge (0,3): endpoint out of range", 3),
+    ((1, 2, 1, 2), OK + ((5, 1, 1, 1),), "edge (5,1): endpoint out of range", 3),
+    ((1, 2, 1, 2), OK + ((1, BIG, 1, 1),), f"edge (1,{BIG}): endpoint out of range", 3),
+    ((1, 2, 1, 2), OK + ((-BIG, 2, 1, 1),), f"edge ({-BIG},2): endpoint out of range", 3),
+    ((1, 2, 1, 2), OK + ((3, 3, 1, 1),), "self loop at vertex 3", 3),
+    ((1, 2, 1, 2), OK + ((1, 3, 3, 1),), "edge (1,3): mark outside 1..2", 3),
+    ((1, 2, 1, 2), OK + ((1, 3, 1, 0),), "edge (1,3): mark outside 1..2", 3),
+    ((1, 2, 1, 2), OK + ((1, 3, 1, BIG),), "edge (1,3): mark outside 1..2", 3),
+    ((1, 2, 1, 2), OK + ((1, 2, 2, 2),), "duplicate edge {1,2}", 3),
+    ((1, 2, 1, 2), OK + ((4, 3, 1, 1),), "duplicate edge {3,4}", 3),
+    # The first failing record wins, whatever fails after it.
+    ((1, 2, 1, 2), OK + ((2, 1, 1, 1), (3, 3, 1, 1), (0, 1, 1, 1)), "duplicate edge {1,2}", 3),
+    ((1, 2, 1, 2), OK + ((3, 3, 1, 1), (2, 1, 1, 1), (1, BIG, 1, 1)), "self loop at vertex 3", 3),
+    ((1, 2, 1, 2), OK + ((1, BIG, 1, 1), (3, 3, 1, 1), (2, 1, 1, 1)),
+     f"edge (1,{BIG}): endpoint out of range", 3),
+    ((1, 2, 1, 2), ((1, 2, 1, 1), (2, 3, 1, 9), (1, 2, 1, 1)), "edge (2,3): mark outside 1..2", 2),
+    # (0, 7) packs to the same pair key as (1, 2) but fails on its own.
+    ((1, 2, 1, 2), ((0, 7, 1, 1),) + OK, "edge (0,7): endpoint out of range", 1),
+    ((1, 2, 1, 2), OK + ((0, 7, 1, 1),), "edge (0,7): endpoint out of range", 3),
+    # A record of other than 4 fields fails where it stands.
+    ((1, 2, 1, 2), OK + ((1, 3, 1, 1, 1), (2, 4, 1, 1)), "edge record (1, 3, 1, 1, 1): expected 4 fields", 3),
+    ((1, 2, 1, 2), OK + ((4, 3, 1, 1), (1, 3, 1)), "duplicate edge {3,4}", 3),
+    # Vertex marks are checked before any edge.
+    ((1, 2, 1, 9), ((3, 3, 1, 1),), "vertex 4: mark 9 outside 1..2", 0),
+])
+def test_validation_errors_name_the_first_failing_record(theta, edges, message, record):
+    with pytest.raises(GraphFormatError) as exc:
+        EdgeListGraph(n=4, sigma_v=2, sigma_e=2, theta=theta, edges=edges)
+    assert (exc.value.message, exc.value.record) == (message, record)
+
+
+def test_validation_beyond_int64():
+    # Vertex marks stay Python ints; a huge alphabet admits huge ones.
+    g = EdgeListGraph(n=2, sigma_v=BIG, sigma_e=1, theta=(BIG - 1, 1), edges=((1, 2, 1, 1),))
+    assert g.theta[0] == BIG - 1
+    # Edge fields become int64 half-edge arrays, so a wider mark fails
+    # even inside its alphabet.
+    with pytest.raises(GraphFormatError) as exc:
+        EdgeListGraph(n=2, sigma_v=1, sigma_e=BIG, theta=(1, 1), edges=((1, 2, 1, BIG - 1),))
+    assert (exc.value.message, exc.value.record) == ("edge (1,2): mark beyond 64 bits", 1)
+
+
 def test_parse_wrong_edge_count():
     with pytest.raises(GraphFormatError):
         parse_edge_list("2 2 1 1\n1 1\n1 2 1 1\n")

@@ -762,3 +762,21 @@ def test_dictionary_out_of_order_raises_codec_error(monkeypatch, change):
     # No encoder writes an unsorted dictionary or one signature twice.
     with pytest.raises(CodecError, match="not strictly increasing"):
         decode_marked_graph(spliced_dictionary(monkeypatch, change))
+
+
+@pytest.mark.parametrize("mark", [0, 3])
+def test_type_table_mark_outside_alphabet_raises_codec_error(mark):
+    # The seed-71 n = 300 stream (sigma_e = 2, two-bit marks) with its
+    # first type-table mark replaced, resealed: refused as it is read, not
+    # once the ranks have decoded an invalid graph.
+    data = encode_marked_graph(gen_synthetic(300, 3.0, 2, 2, 71), 1, 20)
+    r = BitReader(data)
+    r.read_fields([8] * 5)
+    for _ in range(5):  # n, sigma_e, sigma_v, delta, 1 + tcount
+        r.read_elias_delta()
+    shift = 8 * (len(data) - 4) - r.position - width(2)
+    body = int.from_bytes(data[:-4], "big")
+    assert body >> shift & 3 in (1, 2)
+    body = body & ~(3 << shift) | mark << shift
+    with pytest.raises(CodecError, match=f"^type-table mark {mark} outside 1..2$"):
+        decode_marked_graph(resealed(body.to_bytes(len(data) - 4, "big")))

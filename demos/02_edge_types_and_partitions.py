@@ -31,10 +31,13 @@ for v in (1, 2, 7):
 stars = find_star_vertices(nl, table)
 print("star vertices:", [v for v in range(1, graph.n + 1) if stars[v]])
 
-deg = find_deg(nl, table)
-print("degree profiles:  Deg_2 =", deg[2], "  Deg_7 =", deg[7])
+# A signature is the vertex mark, then (label, mirror label, count) per
+# label pair; the stream sends the distinct ones once and an id per vertex.
+dictionary, ids = find_deg(nl, table)
+print(f"{len(dictionary)} vertex types:  sig_2 = {dictionary[ids[1] - 1]}"
+      f"  sig_7 = {dictionary[ids[6] - 1]}")
 
-pdeg, padj = find_partition_graphs(nl, table, deg)
+pdeg, padj = find_partition_graphs(nl, table, dictionary, ids)
 for key in sorted(padj):
     kind = "bipartite" if key[0] != key[1] else "simple"
     print(f"partition graph {key} ({kind}): degrees {tuple(pdeg[key])}")

@@ -44,12 +44,12 @@ def cmd_compress(args) -> int:
         nl = preprocess(g)
         table = extract_types(nl, args.h, args.delta)
         s = find_star_vertices(nl, table)
-        deg = find_deg(nl, table)
-        _, adj = find_partition_graphs(nl, table, deg)
+        dictionary, ids = find_deg(nl, table)
+        _, adj = find_partition_graphs(nl, table, dictionary, ids)
         n_star_edges = int((table.star & (nl.nbr > nl.owner)).sum())
         print(f"types={table.tcount} star_vertices={sum(s[1:])} "
-              f"star_edges={n_star_edges} partition_graphs={len(adj)} "
-              f"partition_keys={sorted(adj)}")
+              f"star_edges={n_star_edges} vertex_types={len(dictionary)} "
+              f"partition_graphs={len(adj)} partition_keys={sorted(adj)}")
     return 0
 
 

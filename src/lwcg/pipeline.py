@@ -17,16 +17,16 @@ Wire layout (MSB-first bits):
 
 ED is the Elias delta code; width(x) = 1 + floor(log2(max(x, 1))).
 
-A vertex's type is its mark plus its degree profile (non-star edges per
-label pair); its id is the signature's position in the dictionary, and
-decoded vertices of one type share one profile.  Profiles fix the
-partition tables, keys included, and both sides build them with one
-grouping; the stream carries only the ranks and each simple graph's
-checkpoints, one per split node.
+A vertex's type is its signature: its mark, then its degree profile as
+one (label, mirror label, count) triple per label pair, pairs increasing.
+Both sides hold the types as the (dictionary, ids) pair on the wire and
+build the partition tables, keys included, from it with one grouping;
+the stream carries only the ranks and each simple graph's checkpoints,
+one per split node.
 
 The encoder's stages read the half-edge arrays and labels: the star
-bitmap is one scatter, the star channel one stable sort, the degree
-profiles one np.unique over packed (vertex, label pair) keys, and the
+bitmap is one scatter, the star channel one stable sort, the
+signatures one np.unique over packed (vertex, label pair) keys, and the
 partition graphs one stable sort by label pair.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import zlib
 
 import numpy as np
@@ -101,44 +102,29 @@ def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
     return edges
 
 
-def find_deg(g: NeighborListGraph, table: EdgeTypeTable) -> list:
-    """Per-vertex degree profiles: (label, mirror label) -> count, 1-based.
-
-    One np.unique counts the non-star half-edges per packed (vertex, label
-    pair) key, the pairs numbered in sorted order first.
-    """
+def find_deg(g: NeighborListGraph, table: EdgeTypeTable):
+    """Vertex types as (dictionary, ids): the sorted distinct signatures,
+    and per vertex 1..n its signature's 1-based position there.  One
+    np.unique over packed (vertex, label pair) keys, the pairs numbered in
+    sorted order first, lists each vertex's triples in signature order."""
     e = np.flatnonzero(~table.star)
     t = table.tcount + 1
     codes, pair = np.unique(table.label[e] * t + table.label[g.mirror[e]], return_inverse=True)
     keys, counts = np.unique(g.owner[e] * len(codes) + pair, return_counts=True)
-    pairs = [divmod(code, t) for code in codes.tolist()]
-    deg = [{} for _ in range(g.n + 1)]
-    for v, k, count in zip((keys // len(codes)).tolist(), (keys % len(codes)).tolist(),
-                           counts.tolist()):
-        deg[v][pairs[k]] = count
-    return deg
+    code = codes[keys % len(codes)]
+    triples = np.column_stack((code // t, code % t, counts)).ravel().tolist()
+    ends = (3 * np.searchsorted(keys // len(codes), np.arange(1, g.n + 2))).tolist()
+    seen = {}  # signature -> its number in order of first appearance
+    number = [seen.setdefault((mark, *triples[x:y]), len(seen))
+              for mark, x, y in zip(g.theta[1:], ends, ends[1:])]
+    dictionary = sorted(seen)
+    vid = np.argsort([seen[sig] for sig in dictionary]) + 1  # number -> id
+    return dictionary, vid[number].tolist()
 
 
-def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: BitWriter) -> None:
-    """Joint coding of vertex marks and degree profiles.
-
-    Each vertex gets a flat signature (mark, then sorted (label, label,
-    count) triples); the distinct signatures, sorted, make a dictionary
-    written up front by one write_fields call, and each vertex's id, its
-    signature's 1-based position there, goes to the sequence codec.
-    """
-    distinct = {}
-    sigs = [None] * n  # vertices of one type share one tuple
-    for v in range(1, n + 1):
-        sig = [theta[v]]
-        for key in sorted(deg[v]):
-            sig.extend(key)
-            sig.append(deg[v][key])
-        sig = tuple(sig)
-        sigs[v - 1] = distinct.setdefault(sig, sig)
-    dictionary = sorted(distinct)
-    ids = {sig: vid for vid, sig in enumerate(dictionary, 1)}
-
+def encode_vertex_types(dictionary, ids, n, delta, sigma_e, sigma_v, tcount, out: BitWriter):
+    """Joint coding of vertex marks and degree profiles: the dictionary
+    up front in one write_fields call, then the ids by the sequence codec."""
     w_size = width(1 + 3 * delta)
     # Vertex marks can exceed the other alphabets, so the field width
     # must cover them too or the first signature entry would not fit.
@@ -148,68 +134,78 @@ def encode_vertex_types(deg, theta, n, delta, sigma_e, sigma_v, tcount, out: Bit
         values += (len(sig),) + sig
         widths += [w_size] + [w_elem] * len(sig)
     out.write_fields(values, widths)
-    encode_sequence([ids[sig] for sig in sigs], out)
+    encode_sequence(ids, out)
 
 
 def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
-    """Inverse of encode_vertex_types; returns (theta, deg), both 1-based.
-    Vertices of one type share one profile dict, so deg[v] is read-only."""
+    """Inverse of encode_vertex_types; returns the (dictionary, ids) it
+    read, refusing any signature the encoder never writes."""
     w_size = width(1 + 3 * delta)
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
     count = reader.read_fixed(width(n))
-    types = [None]
-    prev = []
+    dictionary = []
     for _ in range(count):
         size = reader.read_fixed(w_size)
         if size * w_elem > reader.remaining():
             raise CodecError(f"vertex-type signature size {size} exceeds remaining stream")
-        sig = reader.read_fields([w_elem] * size)
+        sig = tuple(reader.read_fields([w_elem] * size))
         if not sig or (len(sig) - 1) % 3:
             raise CodecError("malformed vertex-type signature")
-        if sig <= prev:
+        if dictionary and sig <= dictionary[-1]:
             raise CodecError("vertex-type dictionary is not strictly increasing")
-        prev = sig
         if not 1 <= sig[0] <= sigma_v:
             raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
-        profile = {(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
-        if not all(1 <= i <= tcount and 1 <= ip <= tcount for i, ip in profile):
-            raise CodecError(f"a degree profile label lies outside 1..{tcount}")
-        types.append((sig[0], profile))
-    y = decode_sequence(n, reader)
-
-    theta = [0] * (n + 1)
-    deg = [None] * (n + 1)
-    for v, vid in enumerate(y, 1):
-        if not 1 <= vid <= count:
-            raise CodecError("vertex type id out of range")
-        theta[v], deg[v] = types[vid]
-    return theta, deg
+        pairs, counts = list(zip(sig[1::3], sig[2::3])), sig[3::3]
+        if pairs != sorted(set(pairs)) or not all(1 <= x <= tcount for p in pairs for x in p):
+            raise CodecError(f"degree profile labels {pairs} out of order or outside 1..{tcount}")
+        # A non-star vertex has at most delta edges, and at most n - 1.
+        if min(counts, default=1) < 1 or sum(counts) > min(delta, n - 1):
+            raise CodecError(f"degree counts {counts} below 1 or above {min(delta, n - 1)}")
+        dictionary.append(sig)
+    ids = decode_sequence(n, reader)
+    if not all(1 <= vid <= count for vid in ids):
+        raise CodecError("vertex type id out of range")
+    return dictionary, ids
 
 
-def _partition_tables(deg, n):
+def _partition_tables(dictionary, ids):
     """Degree arrays and member vertices per label pair, both in vertex
-    order: the tables the degree profiles fix, built alike on both sides."""
-    partition_deg = {}
-    members = {}
-    for v in range(1, n + 1):
-        for key, d in deg[v].items():
-            partition_deg.setdefault(key, []).append(d)
-            members.setdefault(key, []).append(v)
+    order, from the vertex types as they cross the wire: every vertex's
+    triples, in vertex order, grouped by one stable sort on label pair."""
+    size = np.fromiter((len(sig) - 1 for sig in dictionary), np.int64, len(dictionary))
+    flat = np.fromiter(itertools.chain.from_iterable(sig[1:] for sig in dictionary),
+                       np.int64, size.sum())  # the triples, marks left out
+    y = np.array(ids, dtype=np.int64) - 1
+    count = (size // 3)[y]  # triples per vertex
+    # A vertex's k-th triple starts 3k past its signature's first one.
+    shift = (np.cumsum(size) - size)[y] - 3 * (np.cumsum(count) - count)
+    at = np.repeat(shift, count) + 3 * np.arange(count.sum())
+    base = int(flat[at + 1].max(initial=0)) + 1
+    code = flat[at] * base + flat[at + 1]
+    # The narrowest type that holds the keys lets numpy sort by radix.
+    order = np.argsort(code.astype(np.min_scalar_type(code.max(initial=0))), kind="stable")
+    code, d = code[order], flat[at + 2][order].tolist()
+    vertex = np.repeat(np.arange(1, len(ids) + 1), count)[order].tolist()
+    cut = np.flatnonzero(np.diff(code, prepend=-1)).tolist() + [len(d)]
+    partition_deg, members = {}, {}
+    for lo, hi in zip(cut, cut[1:]):
+        key = divmod(int(code[lo]), base)
+        partition_deg[key], members[key] = d[lo:hi], vertex[lo:hi]
     return partition_deg, members
 
 
-def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, deg):
+def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, dictionary, ids):
     """Group non-star edges by type pair.
 
     Returns (partition_deg, partition_adj): degree arrays keyed by ordered
     label pairs, and adjacency lists keyed by pairs with i <= i'
     (bipartite lists for i < i', forward lists for i == i').  A vertex's
     rank in group (i, i') is its 1-based position among the group's
-    members, the grouping the decoder builds from the same profiles.
+    members, the grouping the decoder builds from the same vertex types.
     """
     # Called by its private name, so a tracer that wraps
     # decode_partition_structures times only the decoder's call.
-    partition_deg, members = _partition_tables(deg, g.n)
+    partition_deg, members = _partition_tables(dictionary, ids)
     # Each edge is listed once, from the endpoint on the i side of its key
     # (i, i'), i <= i'; within a simple partition graph (i == i') ranks
     # follow vertex order, so the lower endpoint lists it.  A stable sort
@@ -278,14 +274,14 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     encode_sequence(s[1:], out)
     encode_star_edges(nl, table, s, out)
 
-    deg = find_deg(nl, table)
-    encode_vertex_types(deg, nl.theta, g.n, delta, g.sigma_e, g.sigma_v,
+    dictionary, ids = find_deg(nl, table)
+    encode_vertex_types(dictionary, ids, g.n, delta, g.sigma_e, g.sigma_v,
                         table.tcount, out)
 
-    partition_deg, partition_adj = find_partition_graphs(nl, table, deg)
+    partition_deg, partition_adj = find_partition_graphs(nl, table, dictionary, ids)
     # The ranks need only the partition graphs; drop the per-vertex tables
     # so the big-int work below runs in a smaller heap.
-    del nl, table, deg, s
+    del nl, table, dictionary, ids, s
     for (i, ip), adj in sorted(partition_adj.items()):
         if i < ip:
             inst = BipartiteInstance(a=tuple(partition_deg[(i, ip)]),
@@ -331,8 +327,8 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
         raise CodecError("star bitmap is not binary")
     edges = decode_star_edges(reader, s, n, sigma_e)
 
-    theta, deg = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
-    partition_deg, original_index = decode_partition_structures(deg, n)
+    dictionary, ids = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
+    partition_deg, original_index = decode_partition_structures(dictionary, ids)
 
     # The encoder codes one partition graph per declared pair i <= i', in
     # increasing order; a pair's edges need its mirror's degrees too.
@@ -368,6 +364,7 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
 
     try:
         return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
-                             theta=tuple(theta[1:]), edges=tuple(edges))
+                             theta=tuple(dictionary[vid - 1][0] for vid in ids),
+                             edges=tuple(edges))
     except GraphFormatError as exc:
         raise CodecError(f"decoded graph is invalid: {exc}") from exc

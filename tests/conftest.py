@@ -41,6 +41,13 @@ def sample_graph() -> EdgeListGraph:
                          edges=tuple(edges))
 
 
+def vertex_profiles(dictionary, ids):
+    """[None], then each vertex's degree profile {(label, mirror label):
+    count}, read back from its signature in (dictionary, ids)."""
+    return [None] + [{(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
+                     for sig in (dictionary[vid - 1] for vid in ids)]
+
+
 @pytest.fixture
 def fig_graph():
     return sample_graph()

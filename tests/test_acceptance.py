@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import random_marked_graph, sample_graph
+from conftest import random_marked_graph, sample_graph, vertex_profiles
 from lwcg.bipartite import b_configuration_count, b_count_oracle, b_encode
 from lwcg.bits import BitReader, BitWriter
 from lwcg.cli import _normalized_length
@@ -178,7 +178,7 @@ def test_criterion_4_structural_invariants():
         nl = preprocess(g)
         table = extract_types(nl, h, delta)
         assert table.tcount <= 4 * g.m
-        deg = find_deg(nl, table)
+        deg = vertex_profiles(*find_deg(nl, table))
         m_star = sum(1 for v in range(1, n + 1) for i in range(nl.deg[v])
                      if table.star[nl.start[v] + i] and nl.gamma[v][i] > v)
         assert sum(sum(d.values()) for d in deg[1:]) == 2 * (g.m - m_star)
@@ -197,13 +197,14 @@ def test_criterion_5_sample_graph_fixtures(monkeypatch):
     s = find_star_vertices(nl, table)
     assert [v for v in range(1, 17) if s[v]] == [1, 2, 3, 4, 5, 6]
 
-    deg = find_deg(nl, table)
+    dictionary, ids = find_deg(nl, table)
+    deg = vertex_profiles(dictionary, ids)
     # The printed Deg_2 value (1) contradicts the partition degree table
     # below; 2 is the only value consistent with those tables.
     assert deg[2] == {(3, 4): 2}
     assert deg[7] == {(4, 3): 1, (5, 5): 1}
 
-    pdeg, padj = find_partition_graphs(nl, table, deg)
+    pdeg, padj = find_partition_graphs(nl, table, dictionary, ids)
     assert sorted(padj) == [(3, 4), (5, 5)]
     assert {k: tuple(v) for k, v in pdeg.items()} == {
         (3, 4): (2,) * 5, (4, 3): (1,) * 10, (5, 5): (1,) * 10}
@@ -211,7 +212,7 @@ def test_criterion_5_sample_graph_fixtures(monkeypatch):
                                                 (7, 8), (9, 10)]
     assert [tuple(r) for r in padj[(5, 5)]] == [(2,), (), (4,), (), (6,), (),
                                                 (8,), (), (10,), ()]
-    _, oi = decode_partition_structures(deg, 16)
+    _, oi = decode_partition_structures(dictionary, ids)
     assert {k: tuple(v) for k, v in oi.items()} == {
         (3, 4): tuple(range(2, 7)),
         (4, 3): tuple(range(7, 17)),

@@ -29,7 +29,7 @@ def dictionary_fields():
             calls.append((values, widths))
             super().write_fields(values, widths)
 
-    encode_vertex_types(find_deg(nl, table), nl.theta, g.n, 20, g.sigma_e, g.sigma_v,
+    encode_vertex_types(*find_deg(nl, table), g.n, 20, g.sigma_e, g.sigma_v,
                         table.tcount, Recorder())
     (values, widths), = calls
     out = BitWriter()

@@ -21,6 +21,8 @@ def test_compress_decompress_roundtrip(graph_file, tmp_path, capsys):
     assert cli.main(["compress", "-i", str(graph_file), "-o", str(out),
                      "-H", "2", "-D", "4", "-v"]) == 0
     log = capsys.readouterr().out
+    # The hub, the spokes and the leaves: three signatures.
+    assert "vertex_types=3" in log
     assert "partition_graphs=2" in log
     assert "partition_keys=[(3, 4), (5, 5)]" in log
     assert cli.main(["decompress", "-i", str(out), "-o", str(back)]) == 0

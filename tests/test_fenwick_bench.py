@@ -34,7 +34,7 @@ def decode_drains():
     """(degrees, thresholds, expected (k, S_k) per drain, degrees left)."""
     nl = preprocess(gen_synthetic(10_000, 3.0, 1, 1, 71))
     table = extract_types(nl, 1, 20)
-    partition_deg, partition_adj = find_partition_graphs(nl, table, find_deg(nl, table))
+    partition_deg, partition_adj = find_partition_graphs(nl, table, *find_deg(nl, table))
     (key, fwd), = partition_adj.items()
     a = list(partition_deg[key])
     start = naive_suffix_sums(a)

@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from conftest import random_marked_graph
+from conftest import random_marked_graph, vertex_profiles
 from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 from lwcg.edge_types import extract_types
 from lwcg.graph_model import EdgeListGraph, canonical_edges, preprocess
@@ -168,7 +168,10 @@ def test_star_edges_roundtrip_random():
 
 def test_fig_deg_profiles(fig_graph):
     nl, table = fig_tables(fig_graph)
-    deg = find_deg(nl, table)
+    dictionary, ids = find_deg(nl, table)
+    assert dictionary == [(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)]
+    assert ids == [2] + [1] * 5 + [3] * 10
+    deg = vertex_profiles(dictionary, ids)
     assert deg[1] == {}
     # Each spoke holds two type-(3,4) edges, matching the partition degree
     # table below (profiles and partition degrees must agree by construction).
@@ -188,7 +191,9 @@ def test_deg_sums_bounded_by_delta():
         delta = rng.randint(1, 6)
         nl = preprocess(g)
         table = extract_types(nl, rng.randint(1, 3), delta)
-        deg = find_deg(nl, table)
+        dictionary, ids = find_deg(nl, table)
+        assert len(ids) == n and set(ids) == set(range(1, len(dictionary) + 1))
+        deg = vertex_profiles(dictionary, ids)
         for v in range(1, n + 1):
             total = sum(deg[v].values())
             assert total <= delta
@@ -197,9 +202,9 @@ def test_deg_sums_bounded_by_delta():
 
 def test_fig_vertex_type_dictionary_and_y(fig_graph):
     nl, table = fig_tables(fig_graph)
-    deg = find_deg(nl, table)
+    dictionary, ids = find_deg(nl, table)
     out = BitWriter()
-    encode_vertex_types(deg, nl.theta, 16, 4, 2, 2, table.tcount, out)
+    encode_vertex_types(dictionary, ids, 16, 4, 2, 2, table.tcount, out)
     r = BitReader(out.to_bytes())
     assert r.read_fixed(width(16)) == 3  # three distinct vertex types
     w_size = width(1 + 12)
@@ -213,10 +218,8 @@ def test_fig_vertex_type_dictionary_and_y(fig_graph):
     assert entries == [(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)]
     assert decode_sequence(16, r) == [2] + [1] * 5 + [3] * 10
     assert r.remaining() < 8
-    theta, deg2 = decode_vertex_types(BitReader(out.to_bytes()), 16, 4, 2, 2,
-                                      table.tcount)
-    assert theta[1:] == list(nl.theta[1:])
-    assert deg2[1:] == deg[1:]
+    assert decode_vertex_types(BitReader(out.to_bytes()), 16, 4, 2, 2,
+                               table.tcount) == (dictionary, ids)
 
 
 def emitted_ids(monkeypatch, fig_graph):
@@ -224,10 +227,10 @@ def emitted_ids(monkeypatch, fig_graph):
     for the worked example."""
     import lwcg.pipeline as pipeline
     nl, table = fig_tables(fig_graph)
-    deg = find_deg(nl, table)
+    dictionary, ids = find_deg(nl, table)
     sent = []
     monkeypatch.setattr(pipeline, "encode_sequence", lambda y, out: sent.append(list(y)))
-    encode_vertex_types(deg, nl.theta, 16, 4, 2, 2, table.tcount, BitWriter())
+    encode_vertex_types(dictionary, ids, 16, 4, 2, 2, table.tcount, BitWriter())
     monkeypatch.undo()
     return sent
 
@@ -247,20 +250,20 @@ def test_vertex_types_roundtrip_random():
         delta = rng.randint(1, 6)
         nl = preprocess(g)
         table = extract_types(nl, rng.randint(1, 3), delta)
-        deg = find_deg(nl, table)
+        dictionary, ids = find_deg(nl, table)
         out = BitWriter()
-        encode_vertex_types(deg, nl.theta, n, delta, g.sigma_e, g.sigma_v,
+        encode_vertex_types(dictionary, ids, n, delta, g.sigma_e, g.sigma_v,
                             table.tcount, out)
-        theta, deg2 = decode_vertex_types(BitReader(out.to_bytes()), n, delta,
-                                          g.sigma_e, g.sigma_v, table.tcount)
-        assert theta[1:] == list(nl.theta[1:])
-        assert deg2[1:] == deg[1:]
+        assert decode_vertex_types(BitReader(out.to_bytes()), n, delta, g.sigma_e,
+                                   g.sigma_v, table.tcount) == (dictionary, ids)
+        assert [dictionary[vid - 1][0] for vid in ids] == list(g.theta)
 
 
 def vertex_type_block(entries, y):
     """A hand-built vertex-type block for n=4, delta=2, sigma_e=1,
-    sigma_v=2, tcount=1: the dictionary's signatures laid out as
-    encode_vertex_types writes them, then the id sequence y."""
+    sigma_v=2 and tcount 1 or 2 (2-bit elements either way): the
+    dictionary's signatures laid out as encode_vertex_types writes them,
+    then the id sequence y."""
     out = BitWriter()
     w_size, w_elem = width(1 + 3 * 2), width(2)
     out.write_fixed(len(entries), width(4))
@@ -271,22 +274,33 @@ def vertex_type_block(entries, y):
 
 
 def test_decoded_vertices_of_one_type_share_one_profile():
+    # A vertex's profile is its dictionary entry, so vertices with one id
+    # share one signature.
     reader = vertex_type_block([(1,), (2, 1, 1, 2)], [2, 1, 2, 2])
-    theta, deg = decode_vertex_types(reader, 4, 2, 1, 2, 1)
-    assert theta == [0, 2, 1, 2, 2]
+    dictionary, ids = decode_vertex_types(reader, 4, 2, 1, 2, 1)
+    assert dictionary == [(1,), (2, 1, 1, 2)] and ids == [2, 1, 2, 2]
+    assert [dictionary[vid - 1][0] for vid in ids] == [2, 1, 2, 2]  # theta
+    deg = vertex_profiles(dictionary, ids)
     assert deg[1:] == [{(1, 1): 2}, {}, {(1, 1): 2}, {(1, 1): 2}]
-    assert deg[1] is deg[3] is deg[4]
 
 
 @pytest.mark.parametrize("entries, y, message", [
-    ([(1, 1, 2, 1)], [1, 1, 1, 1], "profile label"),  # label 2 > tcount = 1
+    ([(1, 1, 3, 1)], [1, 1, 1, 1], "profile label"),  # label 3 > tcount = 2
     ([(1, 1)], [1, 1, 1, 1], "malformed"),  # 1 + 3k elements required
     ([()], [1, 1, 1, 1], "malformed"),  # no mark
     ([(1,)], [1, 2, 1, 1], "id out of range"),  # id symbol count + 1
+    # A label pair twice: a grouping would list the vertex twice.
+    ([(1, 1, 1, 1, 1, 1, 1)], [1, 1, 1, 1], "out of order"),
+    ([(1, 1, 1, 2, 1, 1, 1)], [1, 1, 1, 1], "out of order"),
+    ([(1, 2, 2, 1, 1, 1, 1)], [1, 1, 1, 1], "out of order"),
+    ([(1, 1, 1, 0)], [1, 1, 1, 1], r"counts \(0,\) below 1"),
+    ([(1, 1, 1, 3)], [1, 1, 1, 1], r"counts \(3,\) .* above 2"),
+    # Each count fits, but a non-star vertex has at most delta edges.
+    ([(1, 1, 1, 1, 2, 2, 2)], [1, 1, 1, 1], r"counts \(1, 2\) .* above 2"),
 ])
 def test_bad_vertex_type_blocks_raise_codec_error(entries, y, message):
     with pytest.raises(CodecError, match=message):
-        decode_vertex_types(vertex_type_block(entries, y), 4, 2, 1, 2, 1)
+        decode_vertex_types(vertex_type_block(entries, y), 4, 2, 1, 2, 2)
 
 
 def test_huge_signature_size_raises_codec_error_before_allocating():
@@ -313,8 +327,7 @@ def test_vertex_marks_wider_than_other_alphabets():
 
 def test_fig_partition_tables(fig_graph):
     nl, table = fig_tables(fig_graph)
-    deg = find_deg(nl, table)
-    pdeg, padj = find_partition_graphs(nl, table, deg)
+    pdeg, padj = find_partition_graphs(nl, table, *find_deg(nl, table))
     assert {k: tuple(v) for k, v in pdeg.items()} == {
         (3, 4): (2,) * 5,
         (4, 3): (1,) * 10,
@@ -328,9 +341,9 @@ def test_fig_partition_tables(fig_graph):
 
 def test_fig_original_index(fig_graph):
     nl, table = fig_tables(fig_graph)
-    deg = find_deg(nl, table)
-    pdeg_enc, _ = find_partition_graphs(nl, table, deg)
-    pdeg_dec, oi = decode_partition_structures(deg, 16)
+    dictionary, ids = find_deg(nl, table)
+    pdeg_enc, _ = find_partition_graphs(nl, table, dictionary, ids)
+    pdeg_dec, oi = decode_partition_structures(dictionary, ids)
     assert {k: tuple(v) for k, v in pdeg_dec.items()} == \
         {k: tuple(v) for k, v in pdeg_enc.items()}
     assert {k: tuple(v) for k, v in oi.items()} == {
@@ -341,23 +354,34 @@ def test_fig_original_index(fig_graph):
 
 
 def test_partition_structures_empty():
-    deg = [None] + [{} for _ in range(5)]
-    pdeg, oi = decode_partition_structures(deg, 5)
+    # Five vertices over two edgeless types: no label pair, no table.
+    pdeg, oi = decode_partition_structures([(1,), (2,)], [1, 2, 2, 1, 2])
     assert pdeg == {} and oi == {}
 
 
 def test_partition_tables_match_across_sides_random():
+    # The decoder's tables come from the vertex-type block as read back
+    # from the bits the encoder wrote, not from the encoder's own values.
     rng = random.Random(54)
     for _ in range(40):
         n = rng.randint(1, 30)
         g = random_marked_graph(rng, n, rng.random() * 0.4, 2, 2)
+        delta = rng.randint(1, 6)
         nl = preprocess(g)
-        table = extract_types(nl, rng.randint(1, 3), rng.randint(1, 6))
-        deg = find_deg(nl, table)
-        pdeg_enc, padj = find_partition_graphs(nl, table, deg)
-        pdeg_dec, oi = decode_partition_structures(deg, n)
+        table = extract_types(nl, rng.randint(1, 3), delta)
+        dictionary, ids = find_deg(nl, table)
+        pdeg_enc, padj = find_partition_graphs(nl, table, dictionary, ids)
+        out = BitWriter()
+        encode_vertex_types(dictionary, ids, n, delta, 2, 2, table.tcount, out)
+        read = decode_vertex_types(BitReader(out.to_bytes()), n, delta, 2, 2, table.tcount)
+        pdeg_dec, oi = decode_partition_structures(*read)
         assert {k: tuple(v) for k, v in pdeg_enc.items()} == \
             {k: tuple(v) for k, v in pdeg_dec.items()}
+        # Against a per-vertex loop: members are the vertices whose
+        # profile holds the pair, in order, and the degrees their counts.
+        deg = vertex_profiles(dictionary, ids)
+        assert oi == {k: [v for v in range(1, n + 1) if k in deg[v]] for k in pdeg_enc}
+        assert pdeg_dec == {k: [deg[v][k] for v in oi[k]] for k in pdeg_enc}
         # Every non-star edge lands in exactly one partition graph.
         non_star = sum(
             1 for v in range(1, n + 1) for i in range(nl.deg[v])
@@ -373,8 +397,7 @@ def test_fig_roundtrip_and_partition_count(fig_graph):
     assert canonical_edges(decoded) == canonical_edges(fig_graph)
     # Two partition graphs, keys (3,4) and (5,5).
     nl, table = fig_tables(fig_graph)
-    deg = find_deg(nl, table)
-    _, padj = find_partition_graphs(nl, table, deg)
+    _, padj = find_partition_graphs(nl, table, *find_deg(nl, table))
     assert sorted(padj) == [(3, 4), (5, 5)]
 
 
@@ -410,9 +433,10 @@ def test_identical_isolated_vertices_single_type():
     g = EdgeListGraph(n=5, sigma_v=2, sigma_e=1, theta=(2,) * 5, edges=())
     nl = preprocess(g)
     table = extract_types(nl, 1, 1)
-    deg = find_deg(nl, table)
+    dictionary, ids = find_deg(nl, table)
+    assert dictionary == [(2,)] and ids == [1] * 5
     out = BitWriter()
-    encode_vertex_types(deg, nl.theta, 5, 1, 1, 2, table.tcount, out)
+    encode_vertex_types(dictionary, ids, 5, 1, 1, 2, table.tcount, out)
     r = BitReader(out.to_bytes())
     assert r.read_fixed(width(5)) == 1  # one dictionary entry
 
@@ -423,8 +447,7 @@ def test_all_star_graph_has_empty_partition_tables():
                       edges=((1, 2, 1, 1), (2, 3, 1, 1)))
     nl = preprocess(g)
     table = extract_types(nl, 1, 1)
-    deg = find_deg(nl, table)
-    pdeg, padj = find_partition_graphs(nl, table, deg)
+    pdeg, padj = find_partition_graphs(nl, table, *find_deg(nl, table))
     assert pdeg == {} and padj == {}
     assert decode_marked_graph(encode_marked_graph(g, 1, 1)) is not None
     decoded = decode_marked_graph(encode_marked_graph(g, 1, 1))
@@ -551,7 +574,7 @@ def test_edge_count_conservation():
         g = random_marked_graph(rng, n, rng.random() * 0.5, 2, 2)
         nl = preprocess(g)
         table = extract_types(nl, rng.randint(1, 2), rng.randint(1, 4))
-        deg = find_deg(nl, table)
+        deg = vertex_profiles(*find_deg(nl, table))
         m_star = sum(
             1 for v in range(1, n + 1) for i in range(nl.deg[v])
             if table.star[nl.start[v] + i] and nl.gamma[v][i] > v)
@@ -564,6 +587,8 @@ def test_stage_outputs_pinned():
     # profiles and the partition tables of a fixed family of graphs pins
     # the four stages between extract_types and the ranks.  Hubs above
     # delta and mean degrees near it give star vertices and star edges.
+    # The profiles are listed per vertex, pairs sorted, as read from the
+    # signatures.
     rng = random.Random(23)
     digest = hashlib.sha256()
     for trial in range(200):
@@ -582,8 +607,9 @@ def test_stage_outputs_pinned():
         s = find_star_vertices(nl, table)
         out = BitWriter()
         encode_star_edges(nl, table, s, out)
-        deg = find_deg(nl, table)
-        pdeg, padj = find_partition_graphs(nl, table, deg)[:2]
+        dictionary, ids = find_deg(nl, table)
+        deg = vertex_profiles(dictionary, ids)
+        pdeg, padj = find_partition_graphs(nl, table, dictionary, ids)
         digest.update(repr((
             [int(b) for b in s], out.bit_length, out.to_bytes(),
             [sorted(d.items()) for d in deg[1:]],

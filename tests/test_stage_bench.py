@@ -4,9 +4,10 @@ The graphs are gen_synthetic(10_000, 3.0, sigma, sigma, seed=71) at the
 three benchmark workload points: sigma = 2 at h=1, delta=20 and at h=2,
 delta=4, and sigma = 1 at h=1, delta=20.  Each benchmark times one stage
 on the outputs of the stages before it: preprocess, extract_types, the
-star bitmap, the star channel, the degree profiles and the partition
-graphs.  Tier-1 runs each benchmark once, as a plain test (pyproject.toml
-passes --benchmark-disable); print the timings with
+star bitmap, the star channel, the vertex types (signature dictionary
+and ids) and the partition graphs.  Tier-1 runs each benchmark once, as
+a plain test (pyproject.toml passes --benchmark-disable); print the
+timings with
 
     PYTHONPATH=src python -m pytest tests/test_stage_bench.py --benchmark-enable
 """
@@ -29,7 +30,8 @@ POINTS = {"marked_h1_d20": (2, 1, 20, 0),
 
 @lru_cache(maxsize=None)
 def stages(point):
-    """(graph, h, delta, neighbor lists, type table, star bitmap, profiles)."""
+    """(graph, h, delta, neighbor lists, type table, star bitmap,
+    (dictionary, ids))."""
     sigma, h, delta, _ = POINTS[point]
     g = gen_synthetic(10_000, 3.0, sigma, sigma, 71)
     nl = preprocess(g)
@@ -69,14 +71,15 @@ def test_bench_star_channel(benchmark, point):
 
 @pytest.mark.parametrize("point", POINTS)
 def test_bench_degree_profiles(benchmark, point):
-    _, _, _, nl, table, _, deg = stages(point)
-    assert benchmark(find_deg, nl, table) == deg
+    _, _, _, nl, table, _, types = stages(point)
+    assert benchmark(find_deg, nl, table) == types
 
 
 @pytest.mark.parametrize("point", POINTS)
 def test_bench_partition_graphs(benchmark, point):
-    # Every non-star edge is listed once, and the profiles count it twice.
-    _, _, _, nl, table, _, deg = stages(point)
-    _, adj = benchmark(find_partition_graphs, nl, table, deg)
+    # Every non-star edge is listed once, and the signatures count it
+    # twice: each vertex's counts are every third entry after its mark.
+    _, _, _, nl, table, _, (dictionary, ids) = stages(point)
+    _, adj = benchmark(find_partition_graphs, nl, table, dictionary, ids)
     listed = sum(len(row) for rows in adj.values() for row in rows)
-    assert 2 * listed == sum(sum(d.values()) for d in deg)
+    assert 2 * listed == sum(sum(dictionary[vid - 1][3::3]) for vid in ids)

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from lwcg import pipeline
-from lwcg.graph_model import canonical_edges
+from lwcg.edge_types import extract_types
+from lwcg.graph_model import canonical_edges, preprocess
 from lwcg.synthetic import gen_synthetic
 
 _spec = importlib.util.spec_from_file_location(
@@ -34,3 +35,9 @@ def test_traced_round_trip_accounts_for_every_stage(sigma_e, sigma_v, h, delta):
     assert canonical_edges(decoded) == canonical_edges(g)
     tracing.check_ledgers(enc, dec, data)
     assert enc.count("partition_build") == dec.count("partition_build") == 1
+    # find_deg and encode_vertex_types on one side, decode_vertex_types on
+    # the other; pipeline.vertex_dict.signatures counts the dictionary.
+    assert enc.count("vertex_types") == 2 and dec.count("vertex_types") == 1
+    nl = preprocess(g)
+    dictionary, _ = pipeline.find_deg(nl, extract_types(nl, h, delta))
+    assert enc.notes["signatures"] == len(dictionary)

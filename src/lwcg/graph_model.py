@@ -4,9 +4,10 @@ A marked graph on vertices 1..n carries a vertex mark in 1..sigma_v per
 vertex and a pair of directed edge marks in 1..sigma_e per edge.  An edge
 record (v, w, x, xp) holds the mark x pointing toward v and xp toward w.
 
-The neighbor-list form is one set of flat half-edge arrays, the layout
-every encoder stage reads; its per-vertex tuples are views for the
-reference oracles, the demos and the tests.
+The edge-list form keeps its records in one validated int64 array, 32
+bytes per record, converted once.  The neighbor-list form is one set of
+flat half-edge arrays, the layout every encoder stage reads; its
+per-vertex tuples are views for the reference oracles, the demos and the tests.
 """
 
 from __future__ import annotations
@@ -31,19 +32,20 @@ class GraphFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeListGraph:
-    """Marked graph as a list of edge records.
+    """Marked graph as one read-only int64 array of edge records, 32 bytes each.
 
     edges[i] = (v, w, x, xp) with x the mark toward v and xp the mark
     toward w; each unordered pair appears once, in either orientation.
+    An int64 (m, 4) array is kept; other record sequences are converted once.
     """
 
     n: int
     sigma_v: int
     sigma_e: int
     theta: tuple          # n vertex marks
-    edges: tuple          # m records (v, w, x, xp)
+    edges: np.ndarray     # (m, 4) int64 records (v, w, x, xp)
 
     def __post_init__(self):
         if self.n < 1 or self.sigma_v < 1 or self.sigma_e < 1:
@@ -55,36 +57,36 @@ class EdgeListGraph:
             if not 1 <= mark <= self.sigma_v:
                 raise GraphFormatError(f"vertex {v}: mark {mark} outside 1..{self.sigma_v}",
                                        record=0)
-        record = _first_bad_record(self.edges, self.n, self.sigma_e)
+        rec, record = _first_bad_record(self.edges, self.n, self.sigma_e)
         if record is not None:
             raise GraphFormatError(_record_error(self.edges[record - 1], self.n, self.sigma_e),
                                    record=record)
+        rec.flags.writeable = False
+        object.__setattr__(self, "edges", rec)
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    m = property(lambda g: len(g.edges))
 
 
 _INT64_MAX = 2**63 - 1
 
 
 def _first_bad_record(edges, n, sigma_e):
-    """1-based index of the first edge record that fails a check of
-    `_record_error` or repeats an earlier pair, or None.
-
-    One pass over an int64 array of the records.  A record that does not
-    fit one, with other than 4 fields or a field beyond int64, fails, and
-    only the records before it are checked.
+    """The records as an (m, 4) int64 array, and the 1-based index of the
+    first one that fails a check of `_record_error` or repeats an earlier
+    pair, or None; one pass over the array.  A record that does not fit
+    one, with other than 4 fields or a field beyond int64, fails, and only
+    the records before it are checked.
     """
-    m = len(edges)
-    try:
-        rec = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=4 * m).reshape(m, 4)
-    except (ValueError, OverflowError):
-        rec = None
-    if rec is None or set(map(len, edges)) - {4}:
-        odd = next(i for i, r in enumerate(edges)
-                   if len(r) != 4 or not all(-_INT64_MAX - 1 <= f <= _INT64_MAX for f in r))
-        return _first_bad_record(edges[:odd], n, sigma_e) or odd + 1
+    m, rec = len(edges), edges
+    if not (isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (4,)):
+        try:
+            rec = np.fromiter(chain.from_iterable(edges), np.int64, 4 * m).reshape(m, 4)
+        except (ValueError, OverflowError):
+            rec = None
+        if rec is None or set(map(len, edges)) - {4}:
+            odd = next(i for i, r in enumerate(edges)
+                       if len(r) != 4 or not all(-_INT64_MAX - 1 <= f <= _INT64_MAX for f in r))
+            return None, _first_bad_record(edges[:odd], n, sigma_e)[1] or odd + 1
     v, w, x, xp = rec.T
     top = min(sigma_e, _INT64_MAX)
     bad = ((v < 1) | (v > n) | (w < 1) | (w > n) | (v == w)
@@ -95,7 +97,7 @@ def _first_bad_record(edges, n, sigma_e):
     repeat = np.ones(m, dtype=bool)
     repeat[np.unique(key, return_index=True)[1]] = False
     flagged = np.flatnonzero(bad | repeat)
-    return int(flagged[0]) + 1 if len(flagged) else None
+    return rec, int(flagged[0]) + 1 if len(flagged) else None
 
 
 def _record_error(edge, n, sigma_e) -> str:
@@ -193,26 +195,20 @@ def parse_edge_list(text: str) -> EdgeListGraph:
     lineno, fields = rows[1]
     theta = tuple(ints(lineno, fields, n, "vertex marks"))
 
-    edges = []
-    for lineno, fields in rows[2:]:
-        edges.append(tuple(ints(lineno, fields, 4, "edge record")))
+    edges = [ints(lineno, fields, 4, "edge record") for lineno, fields in rows[2:]]
     try:
-        return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
-                             theta=theta, edges=tuple(edges))
+        return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e, theta=theta, edges=edges)
     except GraphFormatError as e:
         # The header was checked above; records follow it one per line.
         raise GraphFormatError(e.message, rows[1 + e.record][0]) from None
 
 
 def canonical_edges(g: EdgeListGraph) -> tuple:
-    """Edge records normalized to v < w and sorted; the equality test."""
-    out = []
-    for v, w, x, xp in g.edges:
-        if v > w:
-            v, w, x, xp = w, v, xp, x
-        out.append((v, w, x, xp))
-    out.sort()
-    return tuple(out)
+    """Edge records normalized to v < w and sorted, as tuples of Python
+    ints; the equality test.  Pairs are distinct, so v (n + 1) + w orders them."""
+    rec = g.edges
+    rec = np.where((rec[:, 0] > rec[:, 1])[:, None], rec[:, [1, 0, 3, 2]], rec)
+    return tuple(zip(*rec[np.argsort(rec[:, 0] * (g.n + 1) + rec[:, 1])].T.tolist()))
 
 
 def format_edge_list(g: EdgeListGraph) -> str:
@@ -231,9 +227,8 @@ def preprocess(g: EdgeListGraph) -> NeighborListGraph:
     sort lays out every neighbor list increasing, so the result does not
     depend on record order or orientation.
     """
-    n, m = g.n, len(g.edges)
-    rec = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=4 * m).reshape(m, 4)
-    v, w, x, xp = rec.T
+    n, m = g.n, g.m
+    v, w, x, xp = g.edges.T
     owner, nbr = np.concatenate((v, w)), np.concatenate((w, v))
     order = np.argsort(owner * (n + 1) + nbr)  # distinct keys: the graph is simple
     slot = np.empty(2 * m, dtype=np.int64)  # sorted position of each half-edge

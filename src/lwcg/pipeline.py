@@ -27,7 +27,9 @@ one per split node.
 The encoder's stages read the half-edge arrays and labels: the star
 bitmap is one scatter, the star channel one stable sort, the
 signatures one np.unique over packed (vertex, label pair) keys, and the
-partition graphs one stable sort by label pair.
+partition graphs one stable sort by label pair.  The decoder builds the
+records as int64 blocks: the star channel's with one endpoint mask, each
+partition graph's with one np.repeat and one gather through its members.
 """
 
 from __future__ import annotations
@@ -83,23 +85,22 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     out.write_fields(values, widths)
 
 
-def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> list:
-    """Inverse of encode_star_edges; returns (v, w, x, xp) records.  Each
-    row closes every star vertex with one 0 bit, so the 0 bits before a
-    record give its row and its star vertex."""
-    nbits = width(n)
-    star = [v for v in range(1, n + 1) if s[v]]
-    nstar = len(star)
-    if not nstar:
-        return []
-    edges = []
-    for closed, w in reader.read_flagged(nbits, sigma_e * sigma_e * nstar):
-        row, i = divmod(closed, nstar)
-        v = star[i]
-        if not v < w <= n:
-            raise CodecError(f"star edge endpoint {w} out of range")
-        edges.append((v, w, row // sigma_e + 1, row % sigma_e + 1))
-    return edges
+def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> np.ndarray:
+    """Inverse of encode_star_edges; returns the (v, w, x, xp) records as
+    an (m, 4) int64 array.  Each row closes every star vertex with one 0
+    bit, so the 0 bits before a record give its row and its star vertex."""
+    star = np.flatnonzero(s)
+    if not len(star):
+        return np.empty((0, 4), dtype=np.int64)
+    records = reader.read_flagged(width(n), sigma_e * sigma_e * len(star))
+    closed, w = np.fromiter(itertools.chain.from_iterable(records), np.int64,
+                            2 * len(records)).reshape(-1, 2).T
+    row, i = np.divmod(closed, len(star))
+    v = star[i]
+    bad = np.flatnonzero((w <= v) | (w > n))
+    if len(bad):
+        raise CodecError(f"star edge endpoint {w[bad[0]]} out of range")
+    return np.column_stack((v, w, row // sigma_e + 1, row % sigma_e + 1))
 
 
 def find_deg(g: NeighborListGraph, table: EdgeTypeTable):
@@ -169,7 +170,7 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
 
 
 def _partition_tables(dictionary, ids):
-    """Degree arrays and member vertices per label pair, both in vertex
+    """Degree lists and member vertex arrays per label pair, both in vertex
     order, from the vertex types as they cross the wire: every vertex's
     triples, in vertex order, grouped by one stable sort on label pair."""
     size = np.fromiter((len(sig) - 1 for sig in dictionary), np.int64, len(dictionary))
@@ -185,7 +186,7 @@ def _partition_tables(dictionary, ids):
     # The narrowest type that holds the keys lets numpy sort by radix.
     order = np.argsort(code.astype(np.min_scalar_type(code.max(initial=0))), kind="stable")
     code, d = code[order], flat[at + 2][order].tolist()
-    vertex = np.repeat(np.arange(1, len(ids) + 1), count)[order].tolist()
+    vertex = np.repeat(np.arange(1, len(ids) + 1), count)[order]
     cut = np.flatnonzero(np.diff(code, prepend=-1)).tolist() + [len(d)]
     partition_deg, members = {}, {}
     for lo, hi in zip(cut, cut[1:]):
@@ -220,7 +221,7 @@ def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, dictionary
     partition_adj = {}
     for i, ip in sorted(k for k in members if k[0] <= k[1]):
         lo, hi = np.searchsorted(key, (i * t + ip, i * t + ip + 1)).tolist()
-        near, far = np.array(members[(i, ip)]), np.array(members[(ip, i)])
+        near, far = members[(i, ip)], members[(ip, i)]
         rows = np.searchsorted(near, g.owner[e[lo:hi]])
         ranks = (np.searchsorted(far, g.nbr[e[lo:hi]]) + 1).tolist()
         b = np.searchsorted(rows, np.arange(len(near) + 1)).tolist()
@@ -228,7 +229,7 @@ def find_partition_graphs(g: NeighborListGraph, table: EdgeTypeTable, dictionary
     return partition_deg, partition_adj
 
 
-# The decoder's tables; member lists map ranks back to original vertices.
+# The decoder's tables; member arrays map ranks back to original vertices.
 decode_partition_structures = _partition_tables
 
 
@@ -318,14 +319,15 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     if tcount * w_mark > reader.remaining():
         raise CodecError(f"type count {tcount} exceeds remaining stream")
     t_mark = [0] + reader.read_fields([w_mark] * tcount)
-    bad = next((x for x in t_mark[1:] if not 1 <= x <= sigma_e), None)
+    top = min(sigma_e, 2**63 - 1)  # the decoded records are int64
+    bad = next((x for x in t_mark[1:] if not 1 <= x <= top), None)
     if bad is not None:
-        raise CodecError(f"type-table mark {bad} outside 1..{sigma_e}")
+        raise CodecError(f"type-table mark {bad} outside 1..{top}")
 
     s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):
         raise CodecError("star bitmap is not binary")
-    edges = decode_star_edges(reader, s, n, sigma_e)
+    blocks = [decode_star_edges(reader, s, n, sigma_e)]
 
     dictionary, ids = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
     partition_deg, original_index = decode_partition_structures(dictionary, ids)
@@ -351,12 +353,14 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
                 adj = s_decode(f, cps, tuple(partition_deg[(i, i)]))
         except ValueError as exc:
             raise CodecError(f"partition ({i},{ip}) rank: {exc}") from exc
-        x, xp = t_mark[i], t_mark[ip]
-        back_a, back_b = original_index[(i, ip)], original_index[(ip, i)]
-        for p, neigh in enumerate(adj):
-            vp = back_a[p]
-            for q in neigh:
-                edges.append((vp, back_b[q - 1], x, xp))
+        # adj[p]: the ranks, among the (ip, i) members, of (i, ip) member p's neighbors.
+        size = list(map(len, adj))
+        q = np.fromiter(itertools.chain.from_iterable(adj), np.int64, sum(size))
+        block = np.empty((len(q), 4), dtype=np.int64)
+        block[:, 0] = np.repeat(original_index[(i, ip)], size)
+        block[:, 1] = original_index[(ip, i)][q - 1]
+        block[:, 2:] = t_mark[i], t_mark[ip]
+        blocks.append(block)
     pad = reader.read_fixed(-reader.position % 8)
     reader.read_fixed(32)  # the CRC-32, checked above
     if pad or reader.remaining():
@@ -365,6 +369,6 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     try:
         return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
                              theta=tuple(dictionary[vid - 1][0] for vid in ids),
-                             edges=tuple(edges))
+                             edges=np.concatenate(blocks))
     except GraphFormatError as exc:
         raise CodecError(f"decoded graph is invalid: {exc}") from exc

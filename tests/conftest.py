@@ -41,6 +41,13 @@ def sample_graph() -> EdgeListGraph:
                          edges=tuple(edges))
 
 
+def same_graph(a: EdgeListGraph, b: EdgeListGraph) -> bool:
+    """Whether two graphs hold the same header, vertex marks and records,
+    the records in the same order and orientation."""
+    return ((a.n, a.sigma_v, a.sigma_e, a.theta) == (b.n, b.sigma_v, b.sigma_e, b.theta)
+            and a.edges.shape == b.edges.shape and a.edges.tolist() == b.edges.tolist())
+
+
 def vertex_profiles(dictionary, ids):
     """[None], then each vertex's degree profile {(label, mirror label):
     count}, read back from its signature in (dictionary, ids)."""

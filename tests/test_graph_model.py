@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_marked_graph, sample_graph
+from conftest import random_marked_graph, same_graph, sample_graph
 from lwcg.graph_model import (
     EdgeListGraph,
     GraphFormatError,
@@ -17,7 +17,7 @@ from lwcg.graph_model import (
 def test_parse_smallest_graph():
     g = parse_edge_list("2 1 1 1\n1 1\n1 2 1 1\n")
     assert g.n == 2 and g.m == 1
-    assert g.edges == ((1, 2, 1, 1),)
+    assert g.edges.tolist() == [[1, 2, 1, 1]]
 
 
 def test_parse_sample_graph_text(fig_graph):
@@ -33,7 +33,7 @@ def test_parse_comments_and_blank_lines():
     text = "# a comment\n\n2 1 2 2\n# marks\n1 2\n\n2 1 2 1\n"
     g = parse_edge_list(text)
     assert g.theta == (1, 2)
-    assert g.edges == ((2, 1, 2, 1),)
+    assert g.edges.tolist() == [[2, 1, 2, 1]]
 
 
 @pytest.mark.parametrize("text,bad_line", [
@@ -88,9 +88,26 @@ OK = ((1, 2, 1, 1), (3, 4, 2, 1))
     ((1, 2, 1, 9), ((3, 3, 1, 1),), "vertex 4: mark 9 outside 1..2", 0),
 ])
 def test_validation_errors_name_the_first_failing_record(theta, edges, message, record):
-    with pytest.raises(GraphFormatError) as exc:
-        EdgeListGraph(n=4, sigma_v=2, sigma_e=2, theta=theta, edges=edges)
-    assert (exc.value.message, exc.value.record) == (message, record)
+    # Records of 4 fields inside int64 fail the same way as an int64
+    # (m, 4) array, which the constructor keeps without converting.
+    forms = [edges]
+    if all(len(r) == 4 and all(-2**63 <= f < 2**63 for f in r) for r in edges):
+        forms.append(np.array(edges, dtype=np.int64).reshape(-1, 4))
+    for form in forms:
+        with pytest.raises(GraphFormatError) as exc:
+            EdgeListGraph(n=4, sigma_v=2, sigma_e=2, theta=theta, edges=form)
+        assert (exc.value.message, exc.value.record) == (message, record)
+
+
+def test_records_are_read_only():
+    # A validated graph stays valid: its record array, the caller's own
+    # when an int64 array was passed, cannot be written.
+    a = np.array([[1, 2, 1, 1], [2, 3, 1, 1]], dtype=np.int64)
+    for edges in (a.tolist(), a):
+        g = EdgeListGraph(n=3, sigma_v=1, sigma_e=1, theta=(1, 1, 1), edges=edges)
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[1, 1] = 1
+    assert g.edges is a
 
 
 def test_validation_beyond_int64():
@@ -181,6 +198,33 @@ def test_preprocess_symmetry_invariants():
                 assert nl.x[v][i] == nl.xp[w][j]
 
 
+def record_loop_canonical_edges(g):
+    """canonical_edges as a loop over the records, the reference."""
+    out = []
+    for v, w, x, xp in g.edges.tolist():
+        if v > w:
+            v, w, x, xp = w, v, xp, x
+        out.append((v, w, x, xp))
+    out.sort()
+    return tuple(out)
+
+
+def test_canonical_edges_matches_the_record_loop():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_marked_graph(rng, rng.randint(1, 25), rng.random() * 0.5, 3, 2)
+        edges = g.edges.tolist()
+        rng.shuffle(edges)
+        flipped = [(w, v, xp, x) if rng.random() < 0.5 else (v, w, x, xp)
+                   for v, w, x, xp in edges]
+        g2 = EdgeListGraph(n=g.n, sigma_v=g.sigma_v, sigma_e=g.sigma_e,
+                           theta=g.theta, edges=flipped)
+        got = canonical_edges(g2)
+        assert got == record_loop_canonical_edges(g2) == record_loop_canonical_edges(g)
+        assert type(got) is tuple and all(type(r) is tuple and len(r) == 4 for r in got)
+        assert all(type(f) is int for r in got for f in r)
+
+
 def test_roundtrip_to_text():
     rng = random.Random(13)
     for _ in range(10):
@@ -189,4 +233,4 @@ def test_roundtrip_to_text():
 
 
 def test_sample_graph_matches_module_fixture(fig_graph):
-    assert fig_graph == sample_graph()
+    assert same_graph(fig_graph, sample_graph())

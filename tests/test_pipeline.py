@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from conftest import random_marked_graph, vertex_profiles
+from conftest import random_marked_graph, same_graph, vertex_profiles
 from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 from lwcg.edge_types import extract_types
 from lwcg.graph_model import EdgeListGraph, canonical_edges, preprocess
@@ -67,7 +67,7 @@ def test_fig_star_edge_channel_wire_form(fig_graph):
     assert len(out) == expected_bits
     r = BitReader(out.to_bytes())
     records = decode_star_edges(r, s, 16, 2)
-    assert records == [(1, w, 2, 1) for w in range(2, 7)]
+    assert records.tolist() == [[1, w, 2, 1] for w in range(2, 7)]
 
 
 def test_star_edges_empty_channel():
@@ -96,7 +96,7 @@ def test_star_edge_channel_without_star_vertices_skips_the_mark_pairs(monkeypatc
     assert len(out) == 0
     calls = []
     monkeypatch.setattr(BitReader, "read_zeros", lambda self, limit: calls.append(limit) or 0)
-    assert decode_star_edges(BitReader(b""), s, 3, sigma_e) == []
+    assert decode_star_edges(BitReader(b""), s, 3, sigma_e).shape == (0, 4)
     assert calls == []
 
 
@@ -118,10 +118,12 @@ def test_star_edge_channel_rows_endpoints_and_end():
     data, end = star_channel([rec(3), (0, 1), rec(4), (0, 2),    # row (1, 1)
                               (0, 3), (0, 3), (0, 3)])           # the others
     r = BitReader(data)
-    assert decode_star_edges(r, s, 4, 2) == [(1, 3, 1, 1), (3, 4, 1, 1)]
+    assert decode_star_edges(r, s, 4, 2).tolist() == [[1, 3, 1, 1], [3, 4, 1, 1]]
     assert r.position == end
-    for w in (1, 3, 5):  # at or below vertex 3, or above n
-        data, _ = star_channel([(0, 1), rec(w), (0, 2)] + [(0, 3)] * 3)
+    bad = [[(0, 1), rec(w), (0, 2)] for w in (1, 3, 5)]  # at or below vertex 3, or above n
+    bad.append([rec(3), (0, 1), rec(2), (0, 2)])  # a valid record, then one below vertex 3
+    for fields in bad:
+        data, _ = star_channel(fields + [(0, 3)] * 3)
         with pytest.raises(CodecError, match="out of range"):
             decode_star_edges(BitReader(data), s, 4, 2)
 
@@ -157,7 +159,7 @@ def test_star_edges_roundtrip_random():
         s = find_star_vertices(nl, table)
         out = BitWriter()
         encode_star_edges(nl, table, s, out)
-        got = decode_star_edges(BitReader(out.to_bytes()), s, n, 2)
+        got = [tuple(r) for r in decode_star_edges(BitReader(out.to_bytes()), s, n, 2).tolist()]
         expect = set()
         for v in range(1, n + 1):
             for i in range(nl.deg[v]):
@@ -380,7 +382,8 @@ def test_partition_tables_match_across_sides_random():
         # Against a per-vertex loop: members are the vertices whose
         # profile holds the pair, in order, and the degrees their counts.
         deg = vertex_profiles(dictionary, ids)
-        assert oi == {k: [v for v in range(1, n + 1) if k in deg[v]] for k in pdeg_enc}
+        assert {k: v.tolist() for k, v in oi.items()} == \
+            {k: [v for v in range(1, n + 1) if k in deg[v]] for k in pdeg_enc}
         assert pdeg_dec == {k: [deg[v][k] for v in oi[k]] for k in pdeg_enc}
         # Every non-star edge lands in exactly one partition graph.
         non_star = sum(
@@ -404,7 +407,7 @@ def test_fig_roundtrip_and_partition_count(fig_graph):
 def test_edgeless_graph_roundtrip():
     g = EdgeListGraph(n=3, sigma_v=1, sigma_e=1, theta=(1, 1, 1), edges=())
     data = encode_marked_graph(g, 2, 3)
-    assert decode_marked_graph(data) == g
+    assert same_graph(decode_marked_graph(data), g)
 
 
 def test_edgeless_graph_wire_fields():
@@ -788,6 +791,24 @@ def test_dictionary_out_of_order_raises_codec_error(monkeypatch, change):
     # No encoder writes an unsorted dictionary or one signature twice.
     with pytest.raises(CodecError, match="not strictly increasing"):
         decode_marked_graph(spliced_dictionary(monkeypatch, change))
+
+
+def test_type_table_mark_beyond_int64_raises_codec_error():
+    # A 65-bit alphabet: the lone type's mark, 1 on the wire, replaced by
+    # one inside the alphabet but beyond the int64 records, resealed.
+    g = EdgeListGraph(n=3, sigma_v=1, sigma_e=1 << 64, theta=(1, 1, 1),
+                      edges=((1, 2, 1, 1),))
+    data = encode_marked_graph(g, 1, 4)
+    r = BitReader(data)
+    r.read_fields([8] * 5)
+    assert [r.read_elias_delta() for _ in range(5)] == [3, 1 << 64, 1, 4, 2]
+    shift = 8 * (len(data) - 4) - r.position - 65
+    body = int.from_bytes(data[:-4], "big")
+    assert body >> shift & (1 << 65) - 1 == 1
+    mark = (1 << 63) + 1
+    body |= mark - 1 << shift
+    with pytest.raises(CodecError, match=f"^type-table mark {mark} outside 1..{2**63 - 1}$"):
+        decode_marked_graph(resealed(body.to_bytes(len(data) - 4, "big")))
 
 
 @pytest.mark.parametrize("mark", [0, 3])

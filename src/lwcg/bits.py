@@ -1,10 +1,9 @@
 """Bit-level I/O: MSB-first bit streams, fixed-width fields, Elias delta.
 
 Fixed-width fields go one per call (`write_fixed`/`read_fixed`) or a list
-per call (`write_fields`, numpy-packed; `read_fields`), `read_zeros`
-skips a run of 0 bits with one C-level byte scan, and `read_flagged`
-finds 1-flagged records between runs of 0 bits with one regex pass.  A
-bulk call moves the same bits as the per-field calls it replaces.
+per call (`write_fields`, numpy-packed; `read_fields`), and `read_zeros`
+skips a run of 0 bits with one C-level byte scan.  A bulk call moves the
+same bits as the per-field calls it replaces.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import re
 import numpy as np
 
 _BLOCK = 4096                     # fields per numpy pass in write_fields
-_FLAGGED_BITS = 1 << 15           # bits of read_flagged's first block
 _NONZERO = re.compile(rb"[^\x00]")
 
 
@@ -172,43 +170,6 @@ class BitReader:
             raise TruncatedStreamError(f"stream ends in a run of zeros from bit {pos}")
         self._pos = one
         return one - pos
-
-    def read_flagged(self, nbits: int, zeros: int) -> list:
-        """Read records, each a 1 bit and an nbits-bit value, and the runs
-        of 0 bits between them, up to and including the zeros-th 0 bit.
-
-        Returns (0 bits read before the record, value) per record.  One
-        regex pass over the bits as a '0'/'1' string finds the records, a
-        block of bytes at a time; blocks double in size.
-        """
-        record = re.compile(f"(0*)1([01]{{{nbits}}})")
-        out = []
-        skipped = 0
-        size = _FLAGGED_BITS
-        while True:
-            pos, data = self._pos, self._data
-            start, stop = pos >> 3, min(len(data), ((pos + size) >> 3) + 1)
-            bits = bin(int.from_bytes(b"\x01" + data[start:stop], "big"))[3 + (pos & 7):]
-            at = 0
-            for m in record.finditer(bits):
-                run = m.end(1) - at
-                if skipped + run >= zeros:
-                    break
-                skipped += run
-                out.append((skipped, int(m.group(2), 2)))
-                at = m.end()
-            else:
-                one = bits.find("1", at)
-                run = (len(bits) if one < 0 else one) - at
-                if skipped + run < zeros:
-                    if stop == len(data):
-                        raise TruncatedStreamError(f"stream ends in flagged records at bit {pos}")
-                    skipped += run
-                    self._pos = pos + at + run
-                    size *= 2
-                    continue
-            self._pos = pos + at + zeros - skipped
-            return out
 
     def read_elias_delta(self) -> int:
         r = self.read_zeros(self.remaining())

@@ -3,12 +3,14 @@ types, and one ranking codec per partition graph.
 
 Wire layout (MSB-first bits):
 
-  magic "LWCG", version byte 0x02,
+  magic "LWCG", version byte 0x03,
   ED(n) ED(|xi|) ED(|theta|) ED(delta),
   ED(1+TCount), then per label its mark (1..|xi|) in width(|xi|) bits,
   star-vertex bitmap            (sequence codec),
-  star edges                    (flagged neighbor lists per mark pair),
-  vertex types                  (sorted dictionary + id sequence),
+  star edges, if any star vertex: ED(1+m), a block of |xi|^2 * |stars|
+      + m bits (a 1 per record, a 0 closing each slot), m offsets,
+  vertex types: K in width(n) bits, K sizes, all signatures' elements,
+      then the id sequence                    (sequence codec),
   per declared label pair (i, i'), i <= i', in increasing order:
       i < i':  ED(1+f)                        (bipartite rank)
       i == i': ED(1+f) ED(1+len) ED(1+cp_m)   (simple rank + checkpoints)
@@ -24,12 +26,12 @@ build the partition tables, keys included, from it with one grouping;
 the stream carries only the ranks and each simple graph's checkpoints,
 one per split node.
 
-The encoder's stages read the half-edge arrays and labels: the star
-bitmap is one scatter, the star channel one stable sort, the
-signatures one np.unique over packed (vertex, label pair) keys, and the
-partition graphs one stable sort by label pair.  The decoder builds the
-records as int64 blocks: the star channel's with one endpoint mask, each
-partition graph's with one np.repeat and one gather through its members.
+The side channels are columns, each written by one bulk call, read by
+one and checked with numpy.  The encoder's stages read the half-edge
+arrays and labels: the star bitmap is one scatter, the star channel one
+stable sort, the signatures one np.unique over packed (vertex, label
+pair) keys, and the partition graphs one stable sort by label pair.  The
+decoder builds all partition records in one pass after the ranks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import operator
 import zlib
 
 import numpy as np
@@ -49,7 +52,7 @@ from .sequences import decode_sequence, encode_sequence
 from .simple_graph import SimpleInstance, s_decode, s_encode
 
 MAGIC = b"LWCG"
-VERSION = 2
+VERSION = 3
 
 
 def find_star_vertices(g: NeighborListGraph, table: EdgeTypeTable) -> list:
@@ -60,47 +63,55 @@ def find_star_vertices(g: NeighborListGraph, table: EdgeTypeTable) -> list:
 
 
 def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWriter) -> None:
-    """Star-edge channel: per mark pair, flagged neighbor indices.
+    """Star-edge channel: the record count, the slot block, the offsets.
 
-    For each (x, xp) in row-major order over the mark alphabet and each
-    star vertex v increasing: a 1 bit plus the neighbor index for every
-    incident star edge with marks (x, xp) whose far endpoint is above v,
-    then a closing 0 bit.  So the record of half-edge e from v follows
-    row * |stars| + (v's position among the stars) closing 0 bits; one
-    stable sort on that count puts the records in stream order, and one
-    write_fields call writes each with the run of 0 bits before it.
+    A record is a star edge sent from its lower endpoint v, in slot (mark
+    pair row, v's position i among the stars): record k sits at bit
+    row * stars + i + k of the block.  By symmetrization the far endpoint
+    is a star vertex too.
     """
-    nbits = width(g.n)
-    star = np.flatnonzero(s)
-    if not len(star):  # every row would be zero-width
+    rank = np.cumsum(s) - 1  # a star vertex's position among the stars
+    stars = int(rank[-1]) + 1
+    if not stars:  # every slot would be zero-width
         return
     e = np.flatnonzero(table.star & (g.nbr > g.owner))
     row = (g.mark[e] - 1) * g.sigma_e + g.mark[g.mirror[e]] - 1
-    closed = row * len(star) + np.searchsorted(star, g.owner[e])
-    order = np.argsort(closed, kind="stable")
-    values = np.zeros(2 * len(e) + 1, dtype=np.int64)
-    values[1::2] = (1 << nbits) | g.nbr[e[order]]
-    widths = np.full(2 * len(e) + 1, nbits + 1, dtype=np.int64)
-    widths[0::2] = np.diff(closed[order], prepend=0, append=g.sigma_e ** 2 * len(star))
-    out.write_fields(values, widths)
+    # e runs in (v, w) order, so a stable sort by row gives stream order;
+    # the narrowest type that holds the rows lets numpy sort by radix.
+    order = np.argsort(row.astype(np.min_scalar_type(g.sigma_e ** 2)), kind="stable")
+    e, row = e[order], row[order]
+    i, size = rank[g.owner[e]], g.sigma_e ** 2 * stars + len(e)
+    block = np.zeros(size, dtype=np.uint8)
+    block[row * stars + i + np.arange(len(e))] = 1
+    out.write_elias_delta(1 + len(e))
+    out.write_fixed(int.from_bytes(np.packbits(block).tobytes(), "big") >> (-size % 8), size)
+    c = stars - 1 - i  # star vertices after v; frexp gives width(c - 1)
+    out.write_fields(rank[g.nbr[e]] - i - 1, np.frexp(np.maximum(c - 1, 1))[1])
 
 
 def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> np.ndarray:
     """Inverse of encode_star_edges; returns the (v, w, x, xp) records as
-    an (m, 4) int64 array.  Each row closes every star vertex with one 0
-    bit, so the 0 bits before a record give its row and its star vertex."""
+    an (m, 4) int64 array.  A record's slot gives its mark pair and v, and
+    its offset, below the c star vertices after v, gives w."""
     star = np.flatnonzero(s)
     if not len(star):
         return np.empty((0, 4), dtype=np.int64)
-    records = reader.read_flagged(width(n), sigma_e * sigma_e * len(star))
-    closed, w = np.fromiter(itertools.chain.from_iterable(records), np.int64,
-                            2 * len(records)).reshape(-1, 2).T
-    row, i = np.divmod(closed, len(star))
-    v = star[i]
-    bad = np.flatnonzero((w <= v) | (w > n))
+    m = reader.read_elias_delta() - 1
+    size = sigma_e * sigma_e * len(star) + m  # read_fixed refuses it past the stream
+    bits = np.unpackbits(np.frombuffer(reader.read_fixed(size).to_bytes(-(-size // 8), "big"),
+                                       dtype=np.uint8))
+    ones = np.flatnonzero(bits) - (len(bits) - size)
+    if len(ones) != m:
+        raise CodecError(f"star-edge block holds {len(ones)} records, its count says {m}")
+    if m and bits[-1]:
+        raise CodecError("star-edge block ends in a record, not a closing 0 bit")
+    row, i = np.divmod(ones - np.arange(m), len(star))
+    c = len(star) - 1 - i
+    offset = np.array(reader.read_fields(np.frexp(np.maximum(c - 1, 1))[1].tolist()), np.int64)
+    bad = np.flatnonzero(offset >= c)  # a record in the last star's slot has c = 0
     if len(bad):
-        raise CodecError(f"star edge endpoint {w[bad[0]]} out of range")
-    return np.column_stack((v, w, row // sigma_e + 1, row % sigma_e + 1))
+        raise CodecError(f"star-edge offset {offset[bad[0]]} not below {c[bad[0]]}, the later stars")
+    return np.column_stack((star[i], star[i + 1 + offset], row // sigma_e + 1, row % sigma_e + 1))
 
 
 def find_deg(g: NeighborListGraph, table: EdgeTypeTable):
@@ -125,46 +136,65 @@ def find_deg(g: NeighborListGraph, table: EdgeTypeTable):
 
 def encode_vertex_types(dictionary, ids, n, delta, sigma_e, sigma_v, tcount, out: BitWriter):
     """Joint coding of vertex marks and degree profiles: the dictionary
-    up front in one write_fields call, then the ids by the sequence codec."""
+    as columns, its size K, the K signature sizes, then every signature's
+    elements, in one write_fields call; then the ids by the sequence codec."""
     w_size = width(1 + 3 * delta)
     # Vertex marks can exceed the other alphabets, so the field width
     # must cover them too or the first signature entry would not fit.
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
-    values, widths = [len(dictionary)], [width(n)]
-    for sig in dictionary:
-        values += (len(sig),) + sig
-        widths += [w_size] + [w_elem] * len(sig)
-    out.write_fields(values, widths)
+    sizes = list(map(len, dictionary))
+    out.write_fields([len(dictionary), *sizes, *itertools.chain.from_iterable(dictionary)],
+                     [width(n)] + [w_size] * len(sizes) + [w_elem] * sum(sizes))
     encode_sequence(ids, out)
 
 
 def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     """Inverse of encode_vertex_types; returns the (dictionary, ids) it
-    read, refusing any signature the encoder never writes."""
+    read, refusing any signature the encoder never writes.  Each column
+    is read in one call and checked with numpy over all signatures."""
     w_size = width(1 + 3 * delta)
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
     count = reader.read_fixed(width(n))
-    dictionary = []
-    for _ in range(count):
-        size = reader.read_fixed(w_size)
-        if size * w_elem > reader.remaining():
-            raise CodecError(f"vertex-type signature size {size} exceeds remaining stream")
-        sig = tuple(reader.read_fields([w_elem] * size))
-        if not sig or (len(sig) - 1) % 3:
-            raise CodecError("malformed vertex-type signature")
-        if dictionary and sig <= dictionary[-1]:
-            raise CodecError("vertex-type dictionary is not strictly increasing")
-        if not 1 <= sig[0] <= sigma_v:
-            raise CodecError(f"vertex mark {sig[0]} outside 1..{sigma_v}")
-        pairs, counts = list(zip(sig[1::3], sig[2::3])), sig[3::3]
-        if pairs != sorted(set(pairs)) or not all(1 <= x <= tcount for p in pairs for x in p):
-            raise CodecError(f"degree profile labels {pairs} out of order or outside 1..{tcount}")
-        # A non-star vertex has at most delta edges, and at most n - 1.
-        if min(counts, default=1) < 1 or sum(counts) > min(delta, n - 1):
-            raise CodecError(f"degree counts {counts} below 1 or above {min(delta, n - 1)}")
-        dictionary.append(sig)
+    if count * w_size > reader.remaining():
+        raise CodecError(f"vertex-type dictionary of {count} signatures exceeds remaining stream")
+    sizes = reader.read_fields([w_size] * count)
+    total = sum(sizes)
+    if total * w_elem > reader.remaining():
+        raise CodecError(f"vertex-type signature sizes {total} exceed remaining stream")
+    size = np.array(sizes, dtype=np.int64)
+    if not size.all() or ((size - 1) % 3).any():
+        raise CodecError("malformed vertex-type signature")
+    flat = reader.read_fields([w_elem] * total)
+    ends = np.cumsum(size)
+    dictionary = [tuple(flat[b - k:b]) for k, b in zip(sizes, ends.tolist())]
+    if any(map(operator.ge, dictionary, dictionary[1:])):
+        raise CodecError("vertex-type dictionary is not strictly increasing")
+    try:  # the encoder writes no field beyond 64 bits
+        col = np.array(flat, dtype=np.uint64)
+    except OverflowError:
+        raise CodecError("vertex-type field beyond 64 bits") from None
+    first = ends - size  # each signature's mark
+    bad = np.flatnonzero((col[first] < 1) | (col[first] > min(sigma_v, 2**64 - 1)))
+    if len(bad):
+        raise CodecError(f"vertex mark {dictionary[bad[0]][0]} outside 1..{sigma_v}")
+    label, mirror, counts = np.delete(col, first).reshape(-1, 3).T
+    of = np.repeat(np.arange(count), size // 3)  # each triple's signature
+    # Label pairs lie in 1..tcount and increase strictly within a signature.
+    pair = np.minimum((label, mirror), tcount + 1).astype(np.int64)
+    after = np.diff(pair[0] * (tcount + 2) + pair[1], prepend=0) > 0
+    wrong = (pair.min(0) < 1) | (pair.max(0) > tcount) | ~after & (np.diff(of, prepend=-1) == 0)
+    bad = np.flatnonzero(np.bincount(of, wrong, count))
+    if len(bad):
+        sig = dictionary[bad[0]]
+        raise CodecError(f"degree profile labels {list(zip(sig[1::3], sig[2::3]))} "
+                         f"out of order or outside 1..{tcount}")
+    # A non-star vertex has at most delta edges, and at most n - 1.
+    cap = min(delta, n - 1)
+    bad = np.flatnonzero(np.bincount(of, counts < 1, count) + (np.bincount(of, counts, count) > cap))
+    if len(bad):
+        raise CodecError(f"degree counts {dictionary[bad[0]][3::3]} below 1 or above {cap}")
     ids = decode_sequence(n, reader)
-    if not all(1 <= vid <= count for vid in ids):
+    if not 1 <= min(ids) <= max(ids) <= count:
         raise CodecError("vertex type id out of range")
     return dictionary, ids
 
@@ -327,7 +357,7 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):
         raise CodecError("star bitmap is not binary")
-    blocks = [decode_star_edges(reader, s, n, sigma_e)]
+    star_block = decode_star_edges(reader, s, n, sigma_e)
 
     dictionary, ids = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
     partition_deg, original_index = decode_partition_structures(dictionary, ids)
@@ -336,7 +366,9 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     # increasing order; a pair's edges need its mirror's degrees too.
     if any((ip, i) not in partition_deg for i, ip in partition_deg):
         raise CodecError("a degree profile declares a label pair without its mirror")
-    for i, ip in sorted(key for key in partition_deg if key[0] <= key[1]):
+    keys = sorted(key for key in partition_deg if key[0] <= key[1])
+    rows, ranks = [], []  # per near member its edge count; per edge its far rank
+    for i, ip in keys:
         f = reader.read_elias_delta() - 1
         if i == ip:
             # At most pn - 1 split nodes; s_decode checks the exact count.
@@ -354,13 +386,19 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
         except ValueError as exc:
             raise CodecError(f"partition ({i},{ip}) rank: {exc}") from exc
         # adj[p]: the ranks, among the (ip, i) members, of (i, ip) member p's neighbors.
-        size = list(map(len, adj))
-        q = np.fromiter(itertools.chain.from_iterable(adj), np.int64, sum(size))
-        block = np.empty((len(q), 4), dtype=np.int64)
-        block[:, 0] = np.repeat(original_index[(i, ip)], size)
-        block[:, 1] = original_index[(ip, i)][q - 1]
-        block[:, 2:] = t_mark[i], t_mark[ip]
-        blocks.append(block)
+        rows += map(len, adj)
+        ranks += itertools.chain.from_iterable(adj)
+    # The partition records in one pass: each (i, i') member repeated over
+    # its row, each far rank looked up among the (i', i) members.
+    empty = [np.empty(0, np.int64)]  # np.concatenate needs one array at least
+    near = [original_index[key] for key in keys]
+    far = [original_index[key[::-1]] for key in keys]
+    rows = np.array(rows, np.int64)
+    graph = np.repeat(np.repeat(np.arange(len(keys)), list(map(len, near))), rows)  # per edge
+    at = np.cumsum([0, *map(len, far)])[graph] + np.fromiter(ranks, np.int64, len(ranks)) - 1
+    marks = np.array([(t_mark[i], t_mark[ip]) for i, ip in keys], np.int64).reshape(-1, 2)
+    records = np.column_stack((np.repeat(np.concatenate(near + empty), rows),
+                               np.concatenate(far + empty)[at], marks[graph]))
     pad = reader.read_fixed(-reader.position % 8)
     reader.read_fixed(32)  # the CRC-32, checked above
     if pad or reader.remaining():
@@ -369,6 +407,6 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     try:
         return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
                              theta=tuple(dictionary[vid - 1][0] for vid in ids),
-                             edges=np.concatenate(blocks))
+                             edges=np.concatenate((star_block, records)))
     except GraphFormatError as exc:
         raise CodecError(f"decoded graph is invalid: {exc}") from exc

@@ -7,9 +7,11 @@ measured gap the test prints); 8 is optional and skipped without the
 external dataset.
 """
 
+import importlib.util
 import random
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,11 @@ from test_bipartite import random_instance as random_bipartite
 from test_pipeline import emitted_ids
 from test_simple_graph import all_simple_instances
 from test_simple_graph import random_instance as random_simple
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_hostspeed", Path(__file__).resolve().parents[1] / "perfbench" / "hostspeed.py")
+hostspeed = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(hostspeed)
 
 
 def _verdict(num, ok, detail=""):
@@ -266,14 +273,22 @@ def test_criterion_7_near_linear_encode_scaling():
     # t(1e4) is the median of 5 encodes, 3 taken before and 2 after the one
     # 1e5 encode.  Both are process CPU time: wall time on a shared host
     # swings with other jobs' load, the short sample far more than the
-    # 1e5 one, which averages over it.
+    # 1e5 one, which averages over it.  The host's speed drifts too, so
+    # each encode is scaled to reference speed by perfbench's probe, run
+    # on the same clock right before and right after it.
     small = gen_synthetic(10**4, 3.0, 2, 2, seed=71)
     large = gen_synthetic(10**5, 3.0, 2, 2, seed=71)
+    probe = hostspeed.Probe()
+
+    def cpu_seconds(fn, *args):
+        t0 = time.process_time()
+        fn(*args)
+        return time.process_time() - t0
 
     def encode_seconds(g):
-        t0 = time.process_time()
-        encode_marked_graph(g, 1, 10)
-        return time.process_time() - t0
+        before = cpu_seconds(probe)
+        seconds = cpu_seconds(encode_marked_graph, g, 1, 10)
+        return hostspeed.scaled(seconds, before, cpu_seconds(probe))
 
     samples = [encode_seconds(small) for _ in range(3)]
     times = {10**5: encode_seconds(large)}

@@ -4,7 +4,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lwcg.bits as bits
 from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 
 
@@ -270,68 +269,6 @@ def test_read_zeros_matches_single_bit_reads(runs, offset, limit, end_in_one):
             break
         one.read_fixed(1)
         bulk.read_fixed(1)
-
-
-def flagged_by_fields(reader, nbits, zeros):
-    """read_flagged as read_zeros and read_fixed calls, record by record."""
-    out = []
-    skipped = 0
-    while True:
-        skipped += reader.read_zeros(zeros - skipped)
-        if skipped == zeros:
-            return out
-        out.append((skipped, reader.read_fixed(nbits + 1) ^ (1 << nbits)))
-
-
-def check_flagged(data, offset, nbits, zeros):
-    ref, bulk = BitReader(data), BitReader(data)
-    ref.read_fixed(offset)
-    bulk.read_fixed(offset)
-    try:
-        want = flagged_by_fields(ref, nbits, zeros)
-    except TruncatedStreamError:
-        with pytest.raises(TruncatedStreamError):
-            bulk.read_flagged(nbits, zeros)
-        return
-    assert bulk.read_flagged(nbits, zeros) == want
-    assert bulk.position == ref.position
-
-
-@BULK
-@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 31)), max_size=20),
-       st.integers(0, 60), st.integers(0, 7), st.integers(0, 470), st.integers(0, 3),
-       st.integers(1, 64))
-def test_read_flagged_matches_field_reads(records, tail, offset, zeros, cut, block):
-    # 5-bit records between zero runs, a zero tail, then a record cut
-    # short; the stream may lose its last bytes too.  A small first block
-    # makes records straddle block ends.
-    w = with_prefix(offset)
-    for run, value in records:
-        w.write_fixed(0, run)
-        w.write_fixed(32 | value, 6)
-    w.write_fixed(0, tail)
-    w.write_fixed(0b101, 3)
-    data = w.to_bytes()
-    data = data[:max(1, len(data) - cut)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bits, "_FLAGGED_BITS", block)
-        check_flagged(data, offset, 5, zeros)
-
-
-def test_read_flagged_across_blocks():
-    rng = random.Random(7)
-    w = with_prefix(3)
-    zeros = 0
-    for _ in range(20_000):
-        run = rng.choice([0, 0, 1, 2, rng.randrange(200)])
-        zeros += run
-        w.write_fixed(0, run)
-        w.write_fixed((1 << 14) | rng.randrange(1 << 14), 15)
-    w.write_fixed(0, 9)
-    data = w.to_bytes()
-    assert 8 * len(data) > 8 * bits._FLAGGED_BITS
-    for total in (zeros + 9, zeros + 2, zeros // 2):
-        check_flagged(data, 3, 14, total)
 
 
 def test_read_zeros_limit_and_end_of_stream():

@@ -49,14 +49,14 @@ CASES = {
 }
 
 GOLDEN = {
-    "fixture16_h2_d4": "dbe4e4c0ca8de2b32f80b3a3a0404b31ca5d2256b537273251ddd43277b3a169",
-    "hubs3_n400_h1_d8": "7cd9f8035587e783cd095ee4c2dc56e305ad4e79b31277d9a70358ba0d905e07",
-    "marked_h1_d20_n2000": "b494a01f39350691b788da1340c2a01a7e895f03d9f90d723dc740d23b42d4ec",
-    "marked_h1_d20_n300": "719c478901c9d3540cfffc3138f5b277b43af0b59b41a58153dbf6d66167aea3",
-    "marked_h2_d4_n2000": "3402cad8d6fa8d7bb8e3d5507bfd598ed0d5b365a403b804624a1f19c302ba12",
-    "marked_h2_d4_n300": "95e8d4e48bc9acc3f83614dd2fe54d29102cab1fd7c510f92b3d0c877b86be33",
-    "unmarked_h1_d20_n2000": "8cbf9611bb6ad5b8ee0e769261feff2f39f58c657acf60376b51e87f242e4e6e",
-    "unmarked_h1_d20_n300": "37b5f367ec5c6461437fd641339e6ade2e5ce485d01295ccedee95fadc5c7039",
+    "fixture16_h2_d4": "006f4bf32e74f35856782307cda4219defbb1491665e9acf3a22228aec798435",
+    "hubs3_n400_h1_d8": "e072686d8d7417c457ad4501fa41e2afca46488df7cf521fec419e86a3975cf8",
+    "marked_h1_d20_n2000": "9b341f509b9e9262dff41be4ada6a0fe94c1e71ecf50795f7ea0989b28a65e31",
+    "marked_h1_d20_n300": "8ed87eede9dc0dfe44452f19c4b6837ac49d537cfe39ef986da1b09ef28e6e1c",
+    "marked_h2_d4_n2000": "1ee051f6034189a3e959d9e15007355961ef4ad925a3f0dc1de60a5fe304f634",
+    "marked_h2_d4_n300": "939cdeb1f1a98e68b51915fbacf3648a319ca1a0fd5dd83634b35139d3f1230e",
+    "unmarked_h1_d20_n2000": "f39625ac135e0a17d9bba1b10d190b161e6f35e560f5fc78c8b0ec892d95384a",
+    "unmarked_h1_d20_n300": "0d67c1655890636988a0830adb9d629ca95a7bb14bd73904dae84b34332db326",
 }
 
 

@@ -1,8 +1,12 @@
+import functools
 import hashlib
+import itertools
 import random
+import time
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_marked_graph, same_graph, vertex_profiles
 from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
@@ -55,18 +59,19 @@ def test_path_low_cap_all_stars():
 
 
 def test_fig_star_edge_channel_wire_form(fig_graph):
-    # Only the (x, xp) = (2, 1) row carries records: vertex 1 emits five
-    # 1+index records (5-bit indices), vertices 2..6 lone zeros; the three
-    # other rows emit six zeros total each.
+    # Stars 1..6 and two edge marks: 4 * 6 slots.  Only vertex 1's slot in
+    # the (x, xp) = (2, 1) row, the 13th, holds records: the five spokes,
+    # at offsets 0..4 among the five stars after vertex 1, 3 bits each.
     nl, table = fig_tables(fig_graph)
     s = find_star_vertices(nl, table)
     out = BitWriter()
     encode_star_edges(nl, table, s, out)
-    assert width(16) == 5
-    expected_bits = 4 * 6 + 5 * (1 + 5)  # 24 flag-0 rows + five records + 0
-    assert len(out) == expected_bits
     r = BitReader(out.to_bytes())
-    records = decode_star_edges(r, s, 16, 2)
+    assert r.read_elias_delta() == 1 + 5
+    assert r.read_fixed(24 + 5) == 0b11111 << 12  # 12 slots closed before them
+    assert r.read_fields([width(5 - 1)] * 5) == [0, 1, 2, 3, 4]
+    assert r.position == len(out) == 5 + 29 + 15
+    records = decode_star_edges(BitReader(out.to_bytes()), s, 16, 2)
     assert records.tolist() == [[1, w, 2, 1] for w in range(2, 7)]
 
 
@@ -83,7 +88,7 @@ def test_star_edges_empty_channel():
 
 def test_star_edge_channel_without_star_vertices_skips_the_mark_pairs(monkeypatch):
     # Without star vertices every one of the sigma_e**2 rows is zero-width;
-    # neither side may walk them.
+    # neither side may write or read anything, not even the record count.
     sigma_e = 3000
     g = EdgeListGraph(n=3, sigma_v=1, sigma_e=sigma_e, theta=(1, 1, 1),
                       edges=((1, 2, sigma_e, 1),))
@@ -95,48 +100,94 @@ def test_star_edge_channel_without_star_vertices_skips_the_mark_pairs(monkeypatc
     encode_star_edges(nl, table, s, out)
     assert len(out) == 0
     calls = []
-    monkeypatch.setattr(BitReader, "read_zeros", lambda self, limit: calls.append(limit) or 0)
+    monkeypatch.setattr(BitReader, "read_fixed", lambda self, nbits: calls.append(nbits) or 0)
     assert decode_star_edges(BitReader(b""), s, 3, sigma_e).shape == (0, 4)
     assert calls == []
 
 
-def star_channel(fields):
-    """A stream of (value, width) fields, then a 1 bit the channel must not read."""
+def star_channel(m, ones, slots, offsets):
+    """A star channel of m records: ED(1 + m), a block of slots + m bits
+    with 1 bits at `ones`, the (value, width) offsets, then a 1 bit the
+    channel must not read."""
     w = BitWriter()
-    for value, nbits in fields:
+    w.write_elias_delta(1 + m)
+    w.write_fixed(sum(1 << (slots + m - 1 - k) for k in ones), slots + m)
+    for value, nbits in offsets:
         w.write_fixed(value, nbits)
     end = len(w)
     w.write_fixed(1, 1)
     return w.to_bytes(), end
 
 
+# n = 4, stars 1, 3 and 4, two edge marks: 4 rows of 3 slots.  A record
+# from star 1 has c = 2 later stars and a 1-bit offset (width(1)), one
+# from star 3 has c = 1 and a 1-bit offset (width(0)).
+STARS = [0, 1, 0, 1, 1]
+
+
 def test_star_edge_channel_rows_endpoints_and_end():
-    # n = 4, stars 1, 3 and 4, two edge marks: four rows of three closing
-    # 0 bits each; records are a 1 bit and a 3-bit endpoint.
-    s = [0, 1, 0, 1, 1]
-    rec = lambda w: (8 | w, 4)  # noqa: E731
-    data, end = star_channel([rec(3), (0, 1), rec(4), (0, 2),    # row (1, 1)
-                              (0, 3), (0, 3), (0, 3)])           # the others
+    # Row (1, 1): edge 1-3 in star 1's slot, edge 3-4 in star 3's; row
+    # (2, 1): edge 1-4 in star 1's slot.  Ones at closed + k.
+    data, end = star_channel(3, [0, 2, 3 * 2 + 2], 12, [(0, 1), (0, 1), (1, 1)])
     r = BitReader(data)
-    assert decode_star_edges(r, s, 4, 2).tolist() == [[1, 3, 1, 1], [3, 4, 1, 1]]
+    assert decode_star_edges(r, STARS, 4, 2).tolist() == [[1, 3, 1, 1], [3, 4, 1, 1], [1, 4, 2, 1]]
     assert r.position == end
-    bad = [[(0, 1), rec(w), (0, 2)] for w in (1, 3, 5)]  # at or below vertex 3, or above n
-    bad.append([rec(3), (0, 1), rec(2), (0, 2)])  # a valid record, then one below vertex 3
-    for fields in bad:
-        data, _ = star_channel(fields + [(0, 3)] * 3)
-        with pytest.raises(CodecError, match="out of range"):
-            decode_star_edges(BitReader(data), s, 4, 2)
+
+
+@pytest.mark.parametrize("m, ones, offsets, message", [
+    (1, [2], [(0, 1)], "offset 0 not below 0"),  # a record in star 4's slot, the last
+    (1, [1], [(1, 1)], "offset 1 not below 1"),  # star 3's offset past star 4
+    (2, [0], [(0, 1)] * 2, "holds 1 records, its count says 2"),
+    (1, [12], [(0, 1)], "ends in a record"),  # after the last slot closed
+])
+def test_star_edge_channel_refusals(m, ones, offsets, message):
+    data, _ = star_channel(m, ones, 12, offsets)
+    with pytest.raises(CodecError, match=message):
+        decode_star_edges(BitReader(data), STARS, 4, 2)
+
+
+@st.composite
+def star_channels(draw):
+    """A star bitmap on n <= 8 vertices, an edge-mark alphabet, and a star
+    channel whose record count matches its block: records in random
+    slots, then random bits for the offsets."""
+    n = draw(st.integers(1, 8))
+    bitmap = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any))
+    sigma_e = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 6))
+    slots = sigma_e ** 2 * sum(bitmap)
+    ones = draw(st.lists(st.integers(0, slots + m - 1), min_size=m, max_size=m, unique=True))
+    bits = draw(st.integers(0, (1 << 24) - 1))  # enough for six offsets
+    return [0, *bitmap], n, sigma_e, star_channel(m, ones, slots, [(bits, 24)])[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(star_channels())
+def test_decoded_star_edges_join_star_vertices(channel):
+    # A record's far endpoint is a star vertex above its near one, by
+    # construction of the offsets; anything else is refused.
+    s, n, sigma_e, data = channel
+    try:
+        records = decode_star_edges(BitReader(data), s, n, sigma_e)
+    except CodecError:
+        return
+    for v, w, x, xp in records.tolist():
+        assert v < w and s[v] == s[w] == 1
+        assert 1 <= x <= sigma_e and 1 <= xp <= sigma_e
 
 
 def test_star_edge_channel_truncated():
-    # n = 16, every vertex a star, one edge mark: the third 6-bit record
-    # is cut by the end of the stream.
-    s = [0] + [1] * 16
+    # The channel cut inside its count or its block (bits 5..19), and a
+    # record count whose block is longer than the stream.
+    data, _ = star_channel(3, [0, 2, 8], 12, [(0, 1), (0, 1), (1, 1)])
+    for nbytes in (0, 1, 2):
+        with pytest.raises(TruncatedStreamError):
+            decode_star_edges(BitReader(data[:nbytes]), STARS, 4, 2)
     w = BitWriter()
-    for far in (2, 3, 4):
-        w.write_fixed(32 | far, 6)
-    with pytest.raises(TruncatedStreamError):
-        decode_star_edges(BitReader(w.to_bytes()[:2]), s, 16, 1)
+    w.write_elias_delta(1 + 1000)
+    w.write_fixed(0, 64)
+    with pytest.raises(TruncatedStreamError, match="need 1012 bits"):
+        decode_star_edges(BitReader(w.to_bytes()), STARS, 4, 2)
 
 
 def test_huge_edge_mark_alphabet_without_stars_roundtrips():
@@ -209,12 +260,10 @@ def test_fig_vertex_type_dictionary_and_y(fig_graph):
     encode_vertex_types(dictionary, ids, 16, 4, 2, 2, table.tcount, out)
     r = BitReader(out.to_bytes())
     assert r.read_fixed(width(16)) == 3  # three distinct vertex types
-    w_size = width(1 + 12)
-    w_elem = width(max(2, 2, table.tcount, 4))
-    entries = []
-    for _ in range(3):
-        size = r.read_fixed(w_size)
-        entries.append(tuple(r.read_fixed(w_elem) for _ in range(size)))
+    sizes = r.read_fields([width(1 + 12)] * 3)  # then their elements, a column each
+    assert sizes == [4, 1, 7]
+    flat = r.read_fields([width(max(2, 2, table.tcount, 4))] * sum(sizes))
+    entries = [tuple(flat[:4]), tuple(flat[4:5]), tuple(flat[5:])]
     # Signatures per the worked example, with the spoke count forced to 2,
     # sorted; an id is its signature's position, and no id is written.
     assert entries == [(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)]
@@ -269,8 +318,9 @@ def vertex_type_block(entries, y):
     out = BitWriter()
     w_size, w_elem = width(1 + 3 * 2), width(2)
     out.write_fixed(len(entries), width(4))
-    for sig in entries:
-        out.write_fields([len(sig), *sig], [w_size] + [w_elem] * len(sig))
+    out.write_fields([len(sig) for sig in entries], [w_size] * len(entries))
+    flat = [x for sig in entries for x in sig]
+    out.write_fields(flat, [w_elem] * len(flat))
     encode_sequence(y, out)
     return BitReader(out.to_bytes())
 
@@ -303,6 +353,41 @@ def test_decoded_vertices_of_one_type_share_one_profile():
 def test_bad_vertex_type_blocks_raise_codec_error(entries, y, message):
     with pytest.raises(CodecError, match=message):
         decode_vertex_types(vertex_type_block(entries, y), 4, 2, 1, 2, 2)
+
+
+def signatures_accepted(entries, n, delta, sigma_v, tcount):
+    """The per-signature checks, one signature at a time: the reference
+    for the decoder's checks over the dictionary's columns."""
+    for k, sig in enumerate(entries):
+        if not sig or (len(sig) - 1) % 3 or k and sig <= entries[k - 1]:
+            return False
+        pairs, counts = list(zip(sig[1::3], sig[2::3])), sig[3::3]
+        if not 1 <= sig[0] <= sigma_v or pairs != sorted(set(pairs)):
+            return False
+        if not all(1 <= x <= tcount for p in pairs for x in p):
+            return False
+        if min(counts, default=1) < 1 or sum(counts) > min(delta, n - 1):
+            return False
+    return True
+
+
+ELEMENT = st.sampled_from([1, 2] * 3 + [0, 3])  # mostly inside 1..2
+SIGNATURE = st.builds(lambda mark, triples: (mark, *itertools.chain(*triples)),
+                      ELEMENT, st.lists(st.tuples(ELEMENT, ELEMENT, ELEMENT), max_size=2))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(SIGNATURE, min_size=1, max_size=6), st.booleans())
+def test_dictionary_checks_match_per_signature_checks(entries, in_order):
+    # n = 4, delta = 2, sigma_v = 2 and tcount = 2, as vertex_type_block.
+    if in_order:
+        entries = sorted(set(entries))
+    try:
+        decode_vertex_types(vertex_type_block(entries, [1] * 4), 4, 2, 1, 2, 2)
+    except CodecError:
+        assert not signatures_accepted(entries, 4, 2, 2, 2)
+    else:
+        assert signatures_accepted(entries, 4, 2, 2, 2)
 
 
 def test_huge_signature_size_raises_codec_error_before_allocating():
@@ -417,7 +502,7 @@ def test_edgeless_graph_wire_fields():
     data = encode_marked_graph(g, 2, 3)
     r = BitReader(data)
     assert bytes(r.read_fixed(8) for _ in range(4)) == b"LWCG"
-    assert r.read_fixed(8) == VERSION == 2
+    assert r.read_fixed(8) == VERSION == 3
     assert [r.read_elias_delta() for _ in range(4)] == [3, 1, 1, 3]
     assert r.read_elias_delta() == 1  # 1 + TCount
     assert decode_sequence(3, r) == [0, 0, 0]  # star bitmap
@@ -477,10 +562,14 @@ def test_unsupported_version_rejected(fig_graph):
 
 def test_version_1_stream_rejected_before_its_checksum():
     # The triangle of test_triangle_no_stars at h=1, delta=2 in format 1,
-    # which has no CRC trailer.
+    # which has no CRC trailer, and in format 2 with its CRC damaged.
     v1 = bytes.fromhex("4c574347015e88d962b296534322bfffffffff")
     with pytest.raises(CodecError, match="unsupported version 1"):
         decode_marked_graph(v1)
+    v2 = bytes.fromhex("4c574347025d13658ac96516a0c9f77e06")
+    for data in (v2, v2[:-1] + bytes([v2[-1] ^ 1])):
+        with pytest.raises(CodecError, match="unsupported version 2"):
+            decode_marked_graph(data)
 
 
 def resealed(body):
@@ -620,7 +709,7 @@ def test_stage_outputs_pinned():
             sorted((k, [[int(q) for q in row] for row in rows]) for k, rows in padj.items()),
         )).encode())
     assert digest.hexdigest() == (
-        "2fa518bb30fc1a22f042cec49189a612474cac4c567d59a899a04a79964863bf")
+        "a45fa8d63c9fe2b8a2b431a38fcd3476ea7dc0f9d6890d9ee4fda32787fb6a4a")
 
 
 @pytest.mark.parametrize("sigma, shift", [(1, 1000), (2, 100)])
@@ -751,6 +840,52 @@ def test_streams_cut_inside_star_edges_or_dictionary_raise_codec_error(monkeypat
         assert "CRC-32 mismatch" not in str(info.value)
 
 
+@functools.lru_cache(maxsize=None)
+def fuzz_stream(h, delta):
+    """The seed-71 n = 300 stream and its channel spans, computed once."""
+    with pytest.MonkeyPatch.context() as mp:
+        return channel_spans(mp, gen_synthetic(300, 3.0, 2, 2, 71), h, delta)
+
+
+def mutated_body(draw, data, start, end):
+    """data without its CRC, with bits flipped in [start, end), cut inside
+    it, or a piece of it replaced by up to 64 random bits."""
+    nbits, body = 8 * len(data) - 32, int.from_bytes(data[:-4], "big")
+    kind = draw(st.sampled_from(["flip", "cut", "splice"]))
+    if kind == "flip":
+        for pos in draw(st.lists(st.integers(start, end - 1), min_size=1, max_size=3)):
+            body ^= 1 << (nbits - 1 - pos)
+        return body.to_bytes(nbits // 8, "big")
+    if kind == "cut":
+        return cut(data, draw(st.integers(start, end - 1)))
+    a = draw(st.integers(start, end - 1))
+    b = draw(st.integers(a, end))
+    k = draw(st.integers(0, 64))
+    spliced = (body >> (nbits - a) << k | draw(st.integers(0, (1 << k) - 1))) << (nbits - b)
+    total = nbits - (b - a) + k
+    value = (spliced | body & ((1 << (nbits - b)) - 1)) << (-total % 8)
+    return value.to_bytes(-(-total // 8), "big")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 4, "star_edges"), (2, 4, "dictionary"), (1, 20, "dictionary")]),
+       st.data())
+def test_fuzzed_side_channels_raise_only_codec_error(channel, data):
+    # Bit flips, cuts and splices inside the star channel or the
+    # vertex-type dictionary, resealed so the parsers behind the CRC see
+    # them: each case decodes to some graph or raises CodecError, fast.
+    # (The star channel is empty at h = 1, delta = 20.)
+    h, delta, name = channel
+    stream, spans = fuzz_stream(h, delta)
+    body = mutated_body(data.draw, stream, *spans[name])
+    t0 = time.perf_counter()
+    try:
+        decode_marked_graph(resealed(body))
+    except CodecError as exc:
+        assert "CRC-32" not in str(exc)
+    assert time.perf_counter() - t0 < 2.0
+
+
 def spliced_dictionary(monkeypatch, change):
     """The seed-71 n = 300 stream at h = 1, delta = 20 with its vertex-type
     dictionary entries replaced by change(entries), resealed.  The changes
@@ -763,14 +898,17 @@ def spliced_dictionary(monkeypatch, change):
     w_count, w_size, w_elem = width(g.n), width(1 + 3 * 20), width(max(2, 2, tcount, 20))
     r = BitReader(data)
     head, count = r.read_fixed(start), r.read_fixed(w_count)
-    entries = [r.read_fields([w_elem] * r.read_fixed(w_size)) for _ in range(count)]
+    sizes = r.read_fields([w_size] * count)
+    flat = r.read_fields([w_elem] * sum(sizes))
     assert r.position == end
+    ends = list(itertools.accumulate(sizes))
+    entries = change([flat[b - k:b] for k, b in zip(sizes, ends)])
     tail = r.read_fixed(8 * len(data) - 32 - end)
     out = BitWriter()
     out.write_fixed(head, start)
     out.write_fixed(count, w_count)
-    for sig in change(entries):
-        out.write_fields([len(sig), *sig], [w_size] + [w_elem] * len(sig))
+    out.write_fields([len(sig) for sig in entries], [w_size] * count)
+    out.write_fields([x for sig in entries for x in sig], [w_elem] * sum(sizes))
     out.write_fixed(tail, 8 * len(data) - 32 - end)
     body = out.to_bytes()
     assert len(body) == len(data) - 4

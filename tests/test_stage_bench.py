@@ -24,7 +24,7 @@ from lwcg.synthetic import gen_synthetic
 
 # point -> (sigma, h, delta, star-channel bits)
 POINTS = {"marked_h1_d20": (2, 1, 20, 0),
-          "marked_h2_d4": (2, 2, 4, 480_522),
+          "marked_h2_d4": (2, 2, 4, 454_018),
           "unmarked_h1_d20": (1, 1, 20, 0)}
 
 

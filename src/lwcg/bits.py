@@ -1,19 +1,16 @@
 """Bit-level I/O: MSB-first bit streams, fixed-width fields, Elias delta.
 
-Fixed-width fields go one per call (`write_fixed`/`read_fixed`) or a list
-per call (`write_fields`, numpy-packed; `read_fields`), and `read_zeros`
-skips a run of 0 bits with one C-level byte scan.  A bulk call moves the
-same bits as the per-field calls it replaces.
+The one module that knows how bits sit in a stream: fixed-width fields one
+per call (`write_fixed`/`read_fixed`) or a numpy-packed column per call
+(`write_fields`/`read_fields`), and a block of bits as the positions of its
+1s (`write_bitmap`/`read_bitmap`), each bulk call moving the same bits.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-_BLOCK = 4096                     # fields per numpy pass in write_fields
-_NONZERO = re.compile(rb"[^\x00]")
+_BLOCK = 4096  # fields per numpy pass in write_fields and read_fields
 
 
 class CodecError(ValueError):
@@ -27,6 +24,15 @@ class TruncatedStreamError(CodecError):
 def width(x: int) -> int:
     """Field width 1 + floor(log2(max(x, 1))), so width(0) == width(1) == 1."""
     return max(x, 1).bit_length()
+
+
+def _layout(widths):
+    """A block of fields laid out in 64-bit words after a zero word: its
+    length in bits, and per field the word q and bit r where it ends."""
+    if (widths < 0).any():
+        raise ValueError("negative width")
+    ends = np.cumsum(widths)
+    return int(ends[-1]), (ends >> 6) + 1, (ends & 63).astype(np.uint64)
 
 
 class BitWriter:
@@ -64,30 +70,34 @@ class BitWriter:
         self._nbits = rem
 
     def write_fields(self, values, widths) -> None:
-        """write_fixed(values[i], widths[i]) for every i, in bulk.
-
-        Values are ints below 2**64, so a field wider than 64 bits starts
-        with a run of zeros.  numpy ORs each field into the one or two
-        64-bit words its value spans, _BLOCK fields per pass, so its
-        temporaries hold a few words per field, none per bit.
-        """
+        """write_fixed(values[i], widths[i]) for every i, in bulk: each value,
+        below 2**64, is ORed into the one or two words of its _layout, _BLOCK
+        fields a pass, so temporaries hold a few words per field."""
         if len(values) != len(widths):
             raise ValueError("values and widths differ in length")
         for start in range(0, len(widths), _BLOCK):
-            try:
-                v = np.array(values[start:start + _BLOCK], dtype=np.uint64)
+            v = values[start:start + _BLOCK]
+            try:  # numpy would cast an array's negative values without a word
+                if isinstance(v, np.ndarray) and (v.dtype.kind not in "iu" or v.min() < 0):
+                    raise OverflowError
+                v = np.array(v, dtype=np.uint64)
             except OverflowError:
-                raise ValueError("field value is negative or has over 64 bits") from None
+                raise ValueError("field value is not an integer in 0..2**64 - 1") from None
             w = np.array(widths[start:start + _BLOCK], dtype=np.int64)
-            if (w < 0).any() or ((w < 64) & (v >> np.minimum(w, 63).astype(np.uint64) != 0)).any():
+            total, q, r = _layout(w)  # numpy shifts a uint64 by 64 to 0
+            if (v >> w.astype(np.uint64)).any():
                 raise ValueError("a field value does not fit in its width")
-            ends = np.cumsum(w)  # a field ends at bit r of word q, after a zero word
-            q, r = (ends >> 6) + 1, (ends & 63).astype(np.uint64)
-            words = np.zeros(int(ends[-1] >> 6) + 2, np.uint64)
+            words = np.zeros((total >> 6) + 2, np.uint64)
             np.bitwise_or.at(words, q - 1, v >> r)
-            np.bitwise_or.at(words, q, np.where(r > 0, v << ((64 - r) & 63), 0))
+            np.bitwise_or.at(words, q, v << (64 - r))
             self.write_fixed(int.from_bytes(words.astype(">u8").tobytes(), "big")
-                             >> (64 - int(ends[-1] & 63)), int(ends[-1]))
+                             >> (64 - (total & 63)), total)
+
+    def write_bitmap(self, ones, nbits: int) -> None:
+        """Write nbits bits, 1 at the positions in `ones` and 0 elsewhere."""
+        block = np.zeros(nbits, dtype=np.uint8)
+        block[ones] = 1
+        self.write_fixed(int.from_bytes(np.packbits(block).tobytes(), "big") >> (-nbits % 8), nbits)
 
     def write_elias_delta(self, n: int) -> None:
         """Prefix-free code for n >= 1: zeros, length-of-length, mantissa."""
@@ -96,9 +106,7 @@ class BitWriter:
             raise ValueError("Elias delta is defined for positive integers only")
         m = n.bit_length() - 1          # floor(log2 n)
         r = (m + 1).bit_length() - 1    # floor(log2 (m+1))
-        self.write_fixed(0, r)
-        self.write_fixed(m + 1, r + 1)
-        self.write_fixed(n - (1 << m), m)
+        self.write_fixed(n + (m << m), 2 * r + 1 + m)  # (m + 1) << m | n - 2**m
 
     def to_bytes(self) -> bytes:
         """Zero-pad to a byte boundary and return the stream."""
@@ -138,41 +146,38 @@ class BitReader:
         self._pos += nbits
         return (chunk >> drop) & ((1 << nbits) - 1)
 
-    def read_fields(self, widths) -> list:
-        """[read_fixed(w) for w in widths], one read_fixed per 256 fields."""
-        out = []
-        for start in range(0, len(widths), 256):
-            block = widths[start:start + 256]
-            shift = sum(block)
-            chunk = self.read_fixed(shift)
-            out += [(chunk >> (shift := shift - w)) & ((1 << w) - 1) for w in block]
+    def read_fields(self, widths) -> np.ndarray:
+        """The mirror of write_fields: [read_fixed(w) for w in widths] as uint64;
+        CodecError if a field wider than 64 bits is not 0 above its last 64."""
+        w = np.array(widths, dtype=np.int64)
+        out = np.empty(len(w), np.uint64)
+        for start in range(0, len(w), _BLOCK):
+            block = w[start:start + _BLOCK]
+            total, q, r = _layout(block)
+            chunk = self.read_fixed(total) << (64 - (total & 63))
+            words = np.frombuffer(chunk.to_bytes(8 * ((total >> 6) + 2), "big"), ">u8")
+            v = words[q - 1] << r | words[q] >> (64 - r)
+            v &= np.uint64(2**64 - 1) >> (64 - np.minimum(block, 64)).astype(np.uint64)
+            if np.bitwise_count(words).sum() != np.bitwise_count(v).sum():
+                raise CodecError(f"a field beyond 64 bits before bit {self._pos}")
+            out[start:start + _BLOCK] = v
         return out
 
-    def read_zeros(self, limit: int) -> int:
-        """Skip the 0 bits before the next 1 bit, at most `limit` of them,
-        and return how many were skipped; the 1 bit stays unread."""
-        if limit < 0:
-            raise ValueError("negative limit")
-        pos, data = self._pos, self._data
-        i = pos >> 3
-        head = data[i] & (0xFF >> (pos & 7)) if i < len(data) else 0
-        if head:
-            one = 8 * i + 8 - head.bit_length()
-        else:
-            # Scan whole bytes up to the one holding bit pos + limit.
-            stop = min(len(data), ((pos + limit) >> 3) + 1)
-            found = _NONZERO.search(data, i + 1, stop)
-            one = 8 * found.start() + 8 - data[found.start()].bit_length() if found else 8 * stop
-        if one - pos >= limit:
-            self._pos = pos + limit
-            return limit
-        if one >= 8 * len(data):
-            raise TruncatedStreamError(f"stream ends in a run of zeros from bit {pos}")
-        self._pos = one
-        return one - pos
+    def read_bitmap(self, nbits: int) -> np.ndarray:
+        """Inverse of write_bitmap: the ascending positions of the 1s in nbits bits."""
+        chunk = self.read_fixed(nbits) << (-nbits % 8)
+        return np.flatnonzero(np.unpackbits(np.frombuffer(chunk.to_bytes(-(-nbits // 8), "big"),
+                                                          dtype=np.uint8)))
 
     def read_elias_delta(self) -> int:
-        r = self.read_zeros(self.remaining())
+        """Inverse of write_elias_delta.  Its leading zeros are counted in one
+        window: 64 of them would declare a mantissa longer than any stream."""
+        chunk = self._data[self._pos >> 3:(self._pos >> 3) + 9]
+        nbits = 8 * len(chunk) - (self._pos & 7)
+        r = nbits - (int.from_bytes(chunk, "big") & ((1 << nbits) - 1)).bit_length()
+        if r >= min(nbits, 64):
+            raise TruncatedStreamError(f"Elias delta prefix at bit {self._pos} overruns the stream")
+        self._pos += r
         m = self.read_fixed(r + 1) - 1  # the 1 that ended the zeros leads
         if m > self.remaining():  # before 1 << m can ask for a huge int
             raise TruncatedStreamError(f"{m}-bit Elias delta mantissa at bit {self._pos}")

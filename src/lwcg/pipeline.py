@@ -80,11 +80,9 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     # the narrowest type that holds the rows lets numpy sort by radix.
     order = np.argsort(row.astype(np.min_scalar_type(g.sigma_e ** 2)), kind="stable")
     e, row = e[order], row[order]
-    i, size = rank[g.owner[e]], g.sigma_e ** 2 * stars + len(e)
-    block = np.zeros(size, dtype=np.uint8)
-    block[row * stars + i + np.arange(len(e))] = 1
+    i = rank[g.owner[e]]
     out.write_elias_delta(1 + len(e))
-    out.write_fixed(int.from_bytes(np.packbits(block).tobytes(), "big") >> (-size % 8), size)
+    out.write_bitmap(row * stars + i + np.arange(len(e)), g.sigma_e ** 2 * stars + len(e))
     c = stars - 1 - i  # star vertices after v; frexp gives width(c - 1)
     out.write_fields(rank[g.nbr[e]] - i - 1, np.frexp(np.maximum(c - 1, 1))[1])
 
@@ -97,21 +95,20 @@ def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> np.ndarray:
     if not len(star):
         return np.empty((0, 4), dtype=np.int64)
     m = reader.read_elias_delta() - 1
-    size = sigma_e * sigma_e * len(star) + m  # read_fixed refuses it past the stream
-    bits = np.unpackbits(np.frombuffer(reader.read_fixed(size).to_bytes(-(-size // 8), "big"),
-                                       dtype=np.uint8))
-    ones = np.flatnonzero(bits) - (len(bits) - size)
+    size = sigma_e * sigma_e * len(star) + m
+    ones = reader.read_bitmap(size)
     if len(ones) != m:
         raise CodecError(f"star-edge block holds {len(ones)} records, its count says {m}")
-    if m and bits[-1]:
+    if m and ones[-1] == size - 1:
         raise CodecError("star-edge block ends in a record, not a closing 0 bit")
     row, i = np.divmod(ones - np.arange(m), len(star))
     c = len(star) - 1 - i
-    offset = np.array(reader.read_fields(np.frexp(np.maximum(c - 1, 1))[1].tolist()), np.int64)
-    bad = np.flatnonzero(offset >= c)  # a record in the last star's slot has c = 0
-    if len(bad):
+    offset = reader.read_fields(np.frexp(np.maximum(c - 1, 1))[1])
+    bad = np.flatnonzero(offset >= c)  # before the int64 cast: it may not fit
+    if len(bad):  # a record in the last star's slot has c = 0
         raise CodecError(f"star-edge offset {offset[bad[0]]} not below {c[bad[0]]}, the later stars")
-    return np.column_stack((star[i], star[i + 1 + offset], row // sigma_e + 1, row % sigma_e + 1))
+    w = star[i + 1 + offset.astype(np.int64)]
+    return np.column_stack((star[i], w, row // sigma_e + 1, row % sigma_e + 1))
 
 
 def find_deg(g: NeighborListGraph, table: EdgeTypeTable):
@@ -157,23 +154,20 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     count = reader.read_fixed(width(n))
     if count * w_size > reader.remaining():
         raise CodecError(f"vertex-type dictionary of {count} signatures exceeds remaining stream")
-    sizes = reader.read_fields([w_size] * count)
-    total = sum(sizes)
+    size = reader.read_fields(np.full(count, w_size))
+    total = size.sum(dtype=float)  # a uint64 sum could wrap
     if total * w_elem > reader.remaining():
-        raise CodecError(f"vertex-type signature sizes {total} exceed remaining stream")
-    size = np.array(sizes, dtype=np.int64)
+        raise CodecError(f"vertex-type signature sizes {total:.0f} exceed remaining stream")
+    size = size.astype(np.int64)
     if not size.all() or ((size - 1) % 3).any():
         raise CodecError("malformed vertex-type signature")
-    flat = reader.read_fields([w_elem] * total)
+    col = reader.read_fields(np.full(int(total), w_elem))
     ends = np.cumsum(size)
-    dictionary = [tuple(flat[b - k:b]) for k, b in zip(sizes, ends.tolist())]
+    first = ends - size  # each signature's mark
+    flat = col.tolist()
+    dictionary = [tuple(flat[a:b]) for a, b in zip(first.tolist(), ends.tolist())]
     if any(map(operator.ge, dictionary, dictionary[1:])):
         raise CodecError("vertex-type dictionary is not strictly increasing")
-    try:  # the encoder writes no field beyond 64 bits
-        col = np.array(flat, dtype=np.uint64)
-    except OverflowError:
-        raise CodecError("vertex-type field beyond 64 bits") from None
-    first = ends - size  # each signature's mark
     bad = np.flatnonzero((col[first] < 1) | (col[first] > min(sigma_v, 2**64 - 1)))
     if len(bad):
         raise CodecError(f"vertex mark {dictionary[bad[0]][0]} outside 1..{sigma_v}")
@@ -335,12 +329,12 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
 def decode_marked_graph(data: bytes) -> EdgeListGraph:
     """Inverse of encode_marked_graph (canonical edge order may differ)."""
     reader = BitReader(data)
-    head = bytes(reader.read_fields([8] * 5))
+    head = reader.read_fields([8] * 5).astype(np.uint8).tobytes()
     if head[:4] != MAGIC:
         raise CodecError(f"bad magic {head[:4]!r}")
     if head[4] != VERSION:
         raise CodecError(f"unsupported version {head[4]}")
-    if zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "big"):
+    if zlib.crc32(data[:-4]).to_bytes(4, "big") != data[-4:]:
         raise CodecError("CRC-32 mismatch")
     n, sigma_e, sigma_v, delta = (reader.read_elias_delta() for _ in range(4))
 
@@ -348,11 +342,11 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     w_mark = width(sigma_e)
     if tcount * w_mark > reader.remaining():
         raise CodecError(f"type count {tcount} exceeds remaining stream")
-    t_mark = [0] + reader.read_fields([w_mark] * tcount)
+    t_mark = reader.read_fields(np.full(tcount, w_mark))
     top = min(sigma_e, 2**63 - 1)  # the decoded records are int64
-    bad = next((x for x in t_mark[1:] if not 1 <= x <= top), None)
-    if bad is not None:
-        raise CodecError(f"type-table mark {bad} outside 1..{top}")
+    bad = np.flatnonzero((t_mark < 1) | (t_mark > top))
+    if len(bad):
+        raise CodecError(f"type-table mark {t_mark[bad[0]]} outside 1..{top}")
 
     s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):
@@ -396,7 +390,7 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     rows = np.array(rows, np.int64)
     graph = np.repeat(np.repeat(np.arange(len(keys)), list(map(len, near))), rows)  # per edge
     at = np.cumsum([0, *map(len, far)])[graph] + np.fromiter(ranks, np.int64, len(ranks)) - 1
-    marks = np.array([(t_mark[i], t_mark[ip]) for i, ip in keys], np.int64).reshape(-1, 2)
+    marks = t_mark.astype(np.int64)[np.array(keys, np.int64).reshape(-1, 2) - 1]
     records = np.column_stack((np.repeat(np.concatenate(near + empty), rows),
                                np.concatenate(far + empty)[at], marks[graph]))
     pad = reader.read_fixed(-reader.position % 8)

@@ -1,10 +1,11 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
+from lwcg.bits import BitReader, BitWriter, CodecError, TruncatedStreamError, width
 
 
 def bit_string(writer: BitWriter) -> str:
@@ -130,19 +131,21 @@ def test_width_helper():
 def test_elias_delta_huge_mantissa_rejected_before_allocating_it():
     # 26 zeros, a 1, then 26 ones: a 7-byte stream whose length prefix
     # declares a mantissa of 2**27 - 2 bits, which 1 << m would build as a
-    # 16 MB int before finding that the stream is too short.
-    w = BitWriter()
-    w.write_fixed(0, 26)
-    w.write_fixed((1 << 27) - 1, 27)
-    data = w.to_bytes()
-    tracemalloc.start()
-    try:
-        with pytest.raises(TruncatedStreamError):
-            BitReader(data).read_elias_delta()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # 16 MB int before finding that the stream is too short.  64 zeros
+    # declare one of 2**64 - 1 bits or more, refused on the zeros alone.
+    for zeros, ones in ((26, 27), (64, 1)):
+        w = BitWriter()
+        w.write_fixed(0, zeros)
+        w.write_fixed((1 << ones) - 1, ones)
+        data = w.to_bytes()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedStreamError):
+                BitReader(data).read_elias_delta()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # Bulk field I/O must move exactly the bits of the per-field calls.
@@ -193,7 +196,7 @@ def test_write_fields_across_blocks_and_wide_runs():
     assert bulk.to_bytes() == one.to_bytes()
     r = BitReader(bulk.to_bytes())
     r.read_fixed(3)
-    assert r.read_fields(widths) == values
+    assert r.read_fields(widths).tolist() == values
 
 
 @BULK
@@ -210,6 +213,11 @@ def test_write_fields_rejects_values_of_65_bits_and_bad_shapes():
     # write_fields values are below 2**64 even in wider fields.
     with pytest.raises(ValueError):
         BitWriter().write_fields([1 << 64], [100])
+    # An array is refused where the same values as a list are: numpy's
+    # cast to uint64 would write -1 as 64 one bits.
+    for values in (np.array([-1]), np.array([0, -5]), np.array([1.0])):
+        with pytest.raises(ValueError, match=r"not an integer in 0\.\.2\*\*64 - 1"):
+            BitWriter().write_fields(values, [64] * len(values))
     with pytest.raises(ValueError):
         BitWriter().write_fields([0], [-1])
     with pytest.raises(ValueError):
@@ -226,60 +234,46 @@ def test_read_fields_matches_read_fixed(fields, offset):
     one, bulk = BitReader(data), BitReader(data)
     one.read_fixed(offset)
     bulk.read_fixed(offset)
-    assert bulk.read_fields(widths) == [one.read_fixed(nbits) for nbits in widths] == values
+    assert bulk.read_fields(widths).tolist() == [one.read_fixed(nbits) for nbits in widths] == values
     assert bulk.position == one.position
     # One bit more than the stream holds, past the padding.
     with pytest.raises(TruncatedStreamError):
         BitReader(data).read_fields(widths + [8 * len(data) - sum(widths) + 1])
 
 
-def zeros_one_by_one(reader, limit):
-    """read_zeros as single-bit reads: stop before a 1 or after limit."""
-    count = 0
-    while count < limit:
-        if reader.read_fixed(1):
-            reader._pos -= 1  # leave the 1 unread
-            break
-        count += 1
-    return count
+def test_read_fields_refuses_bits_above_64():
+    # A 65-bit field is read when its top bit is 0, as write_fields
+    # writes it, and refused when it is 1, in any block of a column.
+    widths = [3] * 5000 + [65, 7]
+    w = with_prefix(5)
+    w.write_fields([5] * 5000 + [2**64 - 1, 9], widths)
+    data = w.to_bytes()
+    r = BitReader(data)
+    r.read_fixed(5)
+    assert r.read_fields(widths).tolist() == [5] * 5000 + [2**64 - 1, 9]
+    body = int.from_bytes(data, "big") | 1 << (8 * len(data) - 5 - 3 * 5000 - 1)
+    r = BitReader(body.to_bytes(len(data), "big"))
+    r.read_fixed(5)
+    with pytest.raises(CodecError, match="field beyond 64 bits"):
+        r.read_fields(widths)
+    assert BitReader(b"").read_fields([]).tolist() == []
 
 
 @BULK
-@given(st.lists(st.integers(0, 300), min_size=1, max_size=12),
-       st.integers(0, 7), st.integers(0, 400), st.booleans())
-def test_read_zeros_matches_single_bit_reads(runs, offset, limit, end_in_one):
-    # Zero runs separated by 1 bits; the stream may end in a zero run.
-    w = with_prefix(offset)
-    for run in runs:
-        w.write_fixed(1, run + 1)
-    if not end_in_one:
-        w.write_fixed(0, runs[0])
-    data = w.to_bytes()
-    one, bulk = BitReader(data), BitReader(data)
-    while True:
-        try:
-            want = zeros_one_by_one(one, limit)
-        except TruncatedStreamError:
-            with pytest.raises(TruncatedStreamError):
-                bulk.read_zeros(limit)
-            break
-        assert bulk.read_zeros(limit) == want
-        assert bulk.position == one.position
-        if not bulk.remaining():
-            break
-        one.read_fixed(1)
-        bulk.read_fixed(1)
-
-
-def test_read_zeros_limit_and_end_of_stream():
-    r = BitReader(bytes(3) + b"\x80")
-    assert r.read_zeros(5) == 5
-    assert r.read_zeros(100) == 19
-    assert r.read_fixed(1) == 1
-    assert r.read_zeros(7) == 7  # the padding
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, max(n - 1, 0)), max_size=n))),
+    st.integers(0, 7))
+def test_bitmap_matches_single_bits(block, offset):
+    nbits, ones = block
+    ones = sorted(ones)
+    one, bulk = with_prefix(offset), with_prefix(offset)
+    for k in range(nbits):
+        one.write_fixed(int(k in ones), 1)
+    bulk.write_bitmap(np.array(ones, dtype=np.int64), nbits)
+    assert bulk.to_bytes() == one.to_bytes() and len(bulk) == len(one)
+    r = BitReader(bulk.to_bytes())
+    r.read_fixed(offset)
+    assert r.read_bitmap(nbits).tolist() == ones
+    assert r.position == offset + nbits
     with pytest.raises(TruncatedStreamError):
-        BitReader(bytes(2)).read_zeros(17)
-    assert BitReader(bytes(2)).read_zeros(16) == 16
-    assert BitReader(b"").read_zeros(0) == 0
-    with pytest.raises(ValueError):
-        BitReader(b"\x01").read_zeros(-1)
+        r.read_bitmap(r.remaining() + 1)

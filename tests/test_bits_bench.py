@@ -69,4 +69,4 @@ def test_bench_write_dictionary(benchmark, dictionary_fields, write):
 @pytest.mark.parametrize("read", [read_one_by_one, read_in_bulk])
 def test_bench_read_dictionary(benchmark, dictionary_fields, read):
     values, widths, data = dictionary_fields
-    assert benchmark(read, data, widths) == values
+    assert list(benchmark(read, data, widths)) == values  # read_fields gives an array

@@ -69,7 +69,7 @@ def test_fig_star_edge_channel_wire_form(fig_graph):
     r = BitReader(out.to_bytes())
     assert r.read_elias_delta() == 1 + 5
     assert r.read_fixed(24 + 5) == 0b11111 << 12  # 12 slots closed before them
-    assert r.read_fields([width(5 - 1)] * 5) == [0, 1, 2, 3, 4]
+    assert r.read_fields([width(5 - 1)] * 5).tolist() == [0, 1, 2, 3, 4]
     assert r.position == len(out) == 5 + 29 + 15
     records = decode_star_edges(BitReader(out.to_bytes()), s, 16, 2)
     assert records.tolist() == [[1, w, 2, 1] for w in range(2, 7)]
@@ -260,9 +260,9 @@ def test_fig_vertex_type_dictionary_and_y(fig_graph):
     encode_vertex_types(dictionary, ids, 16, 4, 2, 2, table.tcount, out)
     r = BitReader(out.to_bytes())
     assert r.read_fixed(width(16)) == 3  # three distinct vertex types
-    sizes = r.read_fields([width(1 + 12)] * 3)  # then their elements, a column each
+    sizes = r.read_fields([width(1 + 12)] * 3).tolist()  # then their elements, a column each
     assert sizes == [4, 1, 7]
-    flat = r.read_fields([width(max(2, 2, table.tcount, 4))] * sum(sizes))
+    flat = r.read_fields([width(max(2, 2, table.tcount, 4))] * sum(sizes)).tolist()
     entries = [tuple(flat[:4]), tuple(flat[4:5]), tuple(flat[5:])]
     # Signatures per the worked example, with the spoke count forced to 2,
     # sorted; an id is its signature's position, and no id is written.
@@ -775,7 +775,7 @@ def test_checkpoint_arrays_the_encoder_never_writes_raise_codec_error(monkeypatc
 
 def channel_spans(monkeypatch, g, h, delta):
     """Encode g; return the stream and the bit spans [start, end) of its
-    star-edge channel and of its vertex-type dictionary."""
+    type table, its star-edge channel and its vertex-type dictionary."""
     import lwcg.pipeline as pipeline
     marks = []  # writer positions before and after each call below
 
@@ -792,8 +792,13 @@ def channel_spans(monkeypatch, g, h, delta):
     data = encode_marked_graph(g, h, delta)
     monkeypatch.undo()
     # star bitmap, star edges, then vertex types around the id sequence.
-    _, _, star0, star1, dict0, dict1, _, _ = marks
-    return data, {"star_edges": (star0, star1), "dictionary": (dict0, dict1)}
+    bitmap0, _, star0, star1, dict0, dict1, _, _ = marks
+    r = BitReader(data)
+    r.read_fixed(40)  # magic and version
+    for _ in range(4):  # n, sigma_e, sigma_v, delta
+        r.read_elias_delta()
+    return data, {"type_table": (r.position, bitmap0), "star_edges": (star0, star1),
+                  "dictionary": (dict0, dict1)}
 
 
 @pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
@@ -868,13 +873,14 @@ def mutated_body(draw, data, start, end):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.sampled_from([(2, 4, "star_edges"), (2, 4, "dictionary"), (1, 20, "dictionary")]),
+@given(st.sampled_from([(2, 4, "star_edges"), (2, 4, "dictionary"), (1, 20, "dictionary"),
+                        (2, 4, "type_table"), (1, 20, "type_table")]),
        st.data())
 def test_fuzzed_side_channels_raise_only_codec_error(channel, data):
-    # Bit flips, cuts and splices inside the star channel or the
-    # vertex-type dictionary, resealed so the parsers behind the CRC see
-    # them: each case decodes to some graph or raises CodecError, fast.
-    # (The star channel is empty at h = 1, delta = 20.)
+    # Bit flips, cuts and splices inside the type table, the star channel
+    # or the vertex-type dictionary, resealed so the parsers behind the
+    # CRC see them: each case decodes to some graph or raises CodecError,
+    # fast.  (The star channel is empty at h = 1, delta = 20.)
     h, delta, name = channel
     stream, spans = fuzz_stream(h, delta)
     body = mutated_body(data.draw, stream, *spans[name])
@@ -898,8 +904,8 @@ def spliced_dictionary(monkeypatch, change):
     w_count, w_size, w_elem = width(g.n), width(1 + 3 * 20), width(max(2, 2, tcount, 20))
     r = BitReader(data)
     head, count = r.read_fixed(start), r.read_fixed(w_count)
-    sizes = r.read_fields([w_size] * count)
-    flat = r.read_fields([w_elem] * sum(sizes))
+    sizes = r.read_fields([w_size] * count).tolist()
+    flat = r.read_fields([w_elem] * sum(sizes)).tolist()
     assert r.position == end
     ends = list(itertools.accumulate(sizes))
     entries = change([flat[b - k:b] for k, b in zip(sizes, ends)])
@@ -947,6 +953,29 @@ def test_type_table_mark_beyond_int64_raises_codec_error():
     body |= mark - 1 << shift
     with pytest.raises(CodecError, match=f"^type-table mark {mark} outside 1..{2**63 - 1}$"):
         decode_marked_graph(resealed(body.to_bytes(len(data) - 4, "big")))
+
+
+@pytest.mark.parametrize("top_bit", [0, 1])
+def test_dictionary_field_beyond_64_bits_raises_codec_error(monkeypatch, top_bit):
+    # A vertex-mark alphabet of 2**64 makes every dictionary element a
+    # 65-bit field.  The encoder leaves its top bit 0; the stream with the
+    # first element's top bit set, resealed, declares a vertex mark of
+    # 2**64 + 1, which no uint64 column holds.
+    g = EdgeListGraph(n=3, sigma_v=1 << 64, sigma_e=1, theta=(1, 1, 1),
+                      edges=((1, 2, 1, 1),))
+    data, spans = channel_spans(monkeypatch, g, 1, 4)
+    start, end = spans["dictionary"]
+    count_and_sizes = width(3) + 2 * width(1 + 3 * 4)  # two signatures
+    assert end - start == count_and_sizes + 5 * 65  # (1,) and (1, 1, 1, 1)
+    body = int.from_bytes(data[:-4], "big") | top_bit << (8 * len(data) - 33 - start
+                                                          - count_and_sizes)
+    stream = resealed(body.to_bytes(len(data) - 4, "big"))
+    if top_bit:
+        with pytest.raises(CodecError, match="field beyond 64 bits"):
+            decode_marked_graph(stream)
+    else:
+        assert stream == data
+        assert same_graph(decode_marked_graph(stream), g)
 
 
 @pytest.mark.parametrize("mark", [0, 3])

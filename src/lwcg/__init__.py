@@ -17,7 +17,7 @@ from .graph_model import (
 )
 from .bits import BitWriter, BitReader, CodecError, TruncatedStreamError, width
 from .fenwick import SuffixFenwick
-from .intmath import compute_product, prod_factorial, double_factorial_ratio, binomial
+from .intmath import compute_product, prod_factorial, double_factorial_ratio
 from .edge_types import EdgeTypeTable, MarkedTree, extract_types, lambda_canonical
 from .bipartite import BipartiteInstance, b_encode, b_decode, b_count_oracle
 from .simple_graph import (
@@ -47,7 +47,6 @@ __all__ = [
     "compute_product",
     "prod_factorial",
     "double_factorial_ratio",
-    "binomial",
     "EdgeTypeTable",
     "MarkedTree",
     "extract_types",

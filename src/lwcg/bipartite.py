@@ -4,22 +4,26 @@ A graph with left degrees a and right degrees b is mapped to the integer
 f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
 the divide-and-conquer recursion of `ranking` over intervals of left
-vertices, decoded with interval proxies.  A left vertex's step is
-`ranking.count_vertex`/`ranking.decode_vertex` over right vertices 1..n_r
-(`simple_graph` scales the same step by â!); the decoder starts each from
-s_i, the left degree sum from i on.  The interval ratios depend on the
-left degrees alone, so one product tree built bottom-up from binomials
-holds them all.
+vertices down to runs of up to LEAF_RUN, decoded with interval proxies.
+Vertex p's ratio is C(s_p, a_p), s_p the left degree sum from p on, so one
+product tree built bottom-up from the left degrees holds them all.  A left
+vertex of degree 1 takes its step inline: z is the suffix sum past its
+neighbor, found in decoding by one Fenwick descent, and l that neighbor's
+residual degree.  Other degrees take `ranking.count_vertex`/`decode_vertex`
+over right vertices 1..n_r (`simple_graph` scales the same step by â!).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import comb, prod
 
 from . import ranking
 from .fenwick import SuffixFenwick
-from .intmath import ZERO, binomial, ceil_div, compute_product, mpz, mul, prod_factorial
+from .intmath import ONE, ZERO, ceil_div, mpz, mul, prod_factorial
+
+LEAF_RUN = 16  # left vertices per leaf run: 8-64 alike at n = 1e4, 128 slower
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,34 @@ class BipartiteInstance:
 
 
 def ratio_tree(a, spine: bool = False) -> list:
-    """`ranking.ratio_tree` of the left degrees a.  With s_p the left degree
-    sum from p on, the ratio of [i, j] is (s_i)_{s_i - s_{j+1}} / prod(a_p!)
-    = prod C(s_p, a_p) over p in [i, j], so the leaves are binomials."""
+    """`ranking.ratio_tree` of the left degrees a over LEAF_RUN runs: the
+    ratio of [i, j] is (s_i)_{s_i - s_{j+1}} / prod(a_p!) = prod C(s_p, a_p)
+    over p in [i, j]."""
     suf = list(accumulate(reversed(a), initial=0))[::-1]  # s_p = suf[p - 1]
-    return ranking.ratio_tree(len(a), 1, lambda i, _: binomial(suf[i - 1], a[i - 1]), spine)
+    return ranking.ratio_tree(len(a), LEAF_RUN,
+                              lambda i, j: mpz(prod(map(comb, suf[i - 1:j], a[i - 1:j]))), spine)
 
 
 def _count(inst: BipartiteInstance, tree, trace):
     """(N, l) of the whole instance by `ranking.count`."""
+    a, adj, suf = inst.a, inst.adj, list(accumulate(reversed(inst.a), initial=0))[::-1]
     bres = [0] + [int(x) for x in inst.b]  # residual right degrees
     fen = SuffixFenwick(list(inst.b))
-    return ranking.count(lambda i: ranking.count_vertex(bres, fen, inst.adj[i - 1]),
-                         tree, 1, 1, inst.n_l, trace)
+
+    def leaf(i, j):
+        n, l = ZERO, ONE
+        for v in range(i - 1, j):
+            if a[v] == 1:
+                w = adj[v][0]
+                z, l_v = fen.suffix_sum(w + 1), bres[w]
+                fen.add(w, -1)
+                bres[w] = l_v - 1
+            else:
+                z, l_v = ranking.count_vertex(bres, fen, adj[v])
+            n, l = n * comb(suf[v], a[v]) + l * z, l * l_v
+        return n, l
+
+    return ranking.count(leaf, tree, LEAF_RUN, 1, 1, inst.n_l, trace)
 
 
 def b_configuration_count(inst: BipartiteInstance, trace=None):
@@ -110,11 +129,24 @@ def b_decode(f, a, b) -> tuple:
     fen = SuffixFenwick(list(b))
     out = [()] * n_l
 
-    def leaf(i, _, ntilde):
-        n_ii, out[i - 1], l = ranking.decode_vertex(bres, fen, 1, n_r, a[i - 1], ntilde, suf[i - 1])
-        return n_ii, l
+    def leaf(i, j, ntilde, r):
+        n, l = ZERO, ONE
+        for v in range(i - 1, j):
+            r //= comb(suf[v], a[v])  # now the ratio of the vertices after v
+            if a[v] == 1:  # one descent to the first neighbor w with S_{w+1} <= z~
+                w, z = fen.drain_first_at_most(ntilde // r)
+                w -= 1
+                out[v], l_v = (w,), bres[w]
+                if not l_v:  # w = 0: the proxy is s_v or more
+                    raise ValueError(f"left vertex {v + 1}: proxy out of range")
+                bres[w] = l_v - 1
+            else:
+                z, out[v], l_v = ranking.decode_vertex(bres, fen, 1, n_r, a[v], ntilde // r, suf[v])
+            p = z * r
+            ntilde, n, l = (ntilde - p) // l_v, n + l * p, l * l_v
+        return n, l
 
-    ranking.decode(leaf, ratio_tree(a), 1, 1, 1, n_l, ntilde)
+    ranking.decode(leaf, ratio_tree(a), LEAF_RUN, 1, 1, n_l, ntilde)
     return tuple(out)
 
 
@@ -130,7 +162,7 @@ def b_count_oracle(inst: BipartiteInstance):
     for j, bj in enumerate(inst.b, start=1):
         half_owner.extend([j] * bj)
     n_r = inst.n_r
-    target = _row_vector(inst.adj, inst.n_l, n_r)
+    target = _row_vector(inst.adj, n_r)
 
     count = 0
 
@@ -153,19 +185,15 @@ def b_count_oracle(inst: BipartiteInstance):
                 continue
             if new_rows < prefix:
                 # Everything below stays below; count completions.
-                count += _completions(v + 1, set(rem) - set(chosen))
+                count += _completions(v + 1, len(rem) - need)
                 continue
             assign(v + 1, set(rem) - set(chosen), new_rows)
 
-    def _completions(v, remaining):
+    def _completions(v, rem):
+        """Ways to give left vertices v+1.. their degrees from rem half-edges."""
         total = 1
-        rem = len(remaining)
-        for u in range(v, inst.n_l):
-            need = inst.a[u]
-            ways = 1
-            for t in range(need):
-                ways = ways * (rem - t)
-            total *= ways // compute_product(need, need, 1) if need else 1
+        for need in inst.a[v:]:
+            total *= comb(rem, need)
             rem -= need
         return total
 
@@ -173,11 +201,5 @@ def b_count_oracle(inst: BipartiteInstance):
     return mpz(count)
 
 
-def _row_vector(adj, n_l, n_r):
-    rows = []
-    for v in range(n_l):
-        row = [0] * n_r
-        for w in adj[v]:
-            row[w - 1] = 1
-        rows.extend(row)
-    return tuple(rows)
+def _row_vector(adj, n_r):
+    return tuple(int(w in neigh) for neigh in adj for w in range(1, n_r + 1))

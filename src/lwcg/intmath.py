@@ -6,15 +6,15 @@ division, which the ranking codecs lean on for large graphs); plain Python
 ints are a correct fallback; for them `mul` takes the largest products by
 FFT and `floor_divmod` the largest quotients by recursive division.  The
 rank encoders and decoders both route their wide levels through these two.
-Unit-stride products go to `math.perm` and `math.comb`, and short strided
-runs to `math.prod`, so the interpreter loops only over the halving of
-long strided products.
+Unit-stride products go to `math.perm`, and short strided runs to
+`math.prod`, so the interpreter loops only over the halving of long
+strided products.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb, factorial, perm, prod
+from math import factorial, perm, prod
 
 import numpy as np
 
@@ -76,11 +76,6 @@ def double_factorial_ratio(s_hi: int, s_lo: int):
     if s_hi < s_lo or s_lo < 0:
         raise ValueError("need s_hi >= s_lo >= 0")
     return compute_product(s_hi - 1, (s_hi - s_lo) // 2, 2)
-
-
-def binomial(n: int, m: int):
-    """n choose m, zero when n < m."""
-    return mpz(comb(n, m))
 
 
 def falling_threshold(z, q: int) -> int:

@@ -5,11 +5,13 @@ k = (i+j)//2 as N_ij = N_ik r + l_ik N_kj and l_ij = l_ik l_kj, r being
 the interval ratio of [k+1, j].  Node x over [i, j] has children 2x over
 [i, k] and 2x+1 over [k+1, j], from node 1 over [1, n].  From WIDE_SPAN
 vertices on, products go to `mul` and quotients to `floor_div`; narrower
-intervals use the inline operators.
+intervals use the inline operators.  Intervals of at most thr vertices
+are leaf runs, each coded in one loop by N = N r_v + l z_v, l = l l_v.
 
 One vertex's step is shared too: `count_vertex` and `decode_vertex` place
 its q half-edges among candidates lo..n by binomial terms.  A codec
-supplies the ratio leaves, the candidates and a factor on the step.
+supplies the ratio leaves, the candidates and a factor on the step, or
+takes the step inline (`bipartite` does at degree 1).
 """
 
 from __future__ import annotations
@@ -59,16 +61,16 @@ def ratio_tree(n: int, thr: int, leaf, spine: bool = False) -> list:
     return tree
 
 
-def count(leaf, tree, x, i, j, trace):
-    """(N_ij, l_ij) at node x over [i, j]; leaf(v), called in vertex
-    order, gives vertex v's.  With a trace list, (i, j, N_ij, l_ij, r_ij)
-    is appended per interval visited."""
-    if i == j:
-        n_ij, l_ij = leaf(i)
+def count(leaf, tree, thr, x, i, j, trace):
+    """(N_ij, l_ij) at node x over [i, j]; leaf(i, j), called in vertex
+    order, gives those of runs of at most thr vertices.  With a trace
+    list, (i, j, N_ij, l_ij, r_ij) is appended per interval visited."""
+    if j - i < thr:
+        n_ij, l_ij = leaf(i, j)
     else:
         k = (i + j) // 2
-        n_ik, l_ik = count(leaf, tree, 2 * x, i, k, trace)
-        n_kj, l_kj = count(leaf, tree, 2 * x + 1, k + 1, j, trace)
+        n_ik, l_ik = count(leaf, tree, thr, 2 * x, i, k, trace)
+        n_kj, l_kj = count(leaf, tree, thr, 2 * x + 1, k + 1, j, trace)
         times, _ = _INLINE if j - i < WIDE_SPAN else _WIDE
         n_ij = times(n_ik, tree[2 * x + 1]) + times(l_ik, n_kj)
         l_ij = times(l_ik, l_kj)
@@ -79,9 +81,9 @@ def count(leaf, tree, x, i, j, trace):
 
 def decode(leaf, tree, thr, x, i, j, ntilde):
     """Invert `count` at node x over [i, j] from the proxy count ntilde;
-    leaf(i, j, ntilde) decodes intervals of at most thr vertices."""
+    leaf(i, j, ntilde, r_ij) decodes runs of at most thr vertices."""
     if j - i + 1 <= thr:
-        return leaf(i, j, ntilde)
+        return leaf(i, j, ntilde, tree[x])
     k = (i + j) // 2
     r = tree[2 * x + 1]
     times, div = _INLINE if j - i < WIDE_SPAN else _WIDE

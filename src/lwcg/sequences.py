@@ -29,19 +29,19 @@ from .bits import BitReader, BitWriter, CodecError
 # log2 C(n, c) bits, about c^2 log(n/c) bit operations in all; the
 # bipartite ranker makes one per symbol plus a product tree over n.
 # Process seconds, encode / decode (CPython 3.11, int arithmetic, 2-core
-# x86 VM, random positions):
+# x86 VM, random positions, best of 3-5):
 #
 #     n      c         combination       bipartite
-#     1e4       52     0.0004 / 0.0004   0.049 / 0.090
-#     1e4    5,000     0.021  / 0.065    0.053 / 0.064
-#     1e5      629     0.031  / 0.038    0.75  / 2.15
-#     1e5   15,000     0.54   / 0.86     0.64  / 1.78
-#     1e5   25,000     1.00   / 1.52     0.52  / 1.31
-#     1e5   40,000     1.79   / 2.57     0.56  / 1.59
+#     1e4       52     0.0009 / 0.0004   0.018 / 0.034
+#     1e4    5,000     0.018  / 0.049    0.019 / 0.035
+#     1e5      629     0.028  / 0.024    0.31  / 0.96
+#     1e5   15,000     0.40   / 0.62     0.31  / 0.93
+#     1e5   25,000     0.85   / 1.24     0.32  / 0.93
+#     1e5   40,000     1.24   / 2.08     0.33  / 0.94
 #
-# At 1e5 encode crosses over near c = 17,000 (c^2 = 2,900 n), decode near
-# 22,000; at 1e4 the combination form wins up to c = n/2.  2,500 n keeps
-# both sides no slower: c <= 5,000 at 1e4, c <= 15,811 at 1e5.
+# Summed, the two cross near c = 4,000 at 1e4 (c^2 = 1,600 n) and 17,500
+# at 1e5 (3,100 n); at 1e5 encode alone crosses near 12,000, decode near
+# 21,000.  2,500 n lies between: c <= 5,000 at 1e4, c <= 15,811 at 1e5.
 COMBINATION_SQ = 2500
 
 

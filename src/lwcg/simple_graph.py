@@ -73,12 +73,12 @@ def _count(inst: SimpleInstance, spine: bool, trace):
     ares = [0] + [int(x) for x in inst.a]  # residual degrees
     fen = SuffixFenwick(list(inst.a))
 
-    def leaf(i):
+    def leaf(i, _):
         z, l = ranking.count_vertex(ares, fen, fwd[i - 1])
         scale = math.factorial(len(fwd[i - 1]))  # â_i!, as the module docstring shows
         return z * scale, l * scale
 
-    return (*ranking.count(leaf, tree, 1, 1, pn, trace), cps)
+    return (*ranking.count(leaf, tree, 1, 1, 1, pn, trace), cps)
 
 
 def s_configuration_count(inst: SimpleInstance, trace=None):
@@ -163,7 +163,7 @@ def s_decode(f, cps, a) -> tuple:
     fen = SuffixFenwick(list(a))
     out = [()] * pn
 
-    def leaf(i, j, ntilde):
+    def leaf(i, j, ntilde, _):
         return _decode_chain(ares, fen, i, j, pn, ntilde, s[j + 1], out)
 
     ranking.decode(leaf, tree, split_threshold(pn), 1, 1, pn, ntilde)

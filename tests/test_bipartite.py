@@ -1,12 +1,15 @@
 import random
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lwcg.bits import BitReader, BitWriter, CodecError
 from lwcg.fenwick import SuffixFenwick
 from lwcg.sequences import decode_sequence, encode_sequence
 from lwcg.bipartite import (
+    LEAF_RUN,
     BipartiteInstance,
     b_configuration_count,
     b_count_oracle,
@@ -14,7 +17,8 @@ from lwcg.bipartite import (
     b_encode,
     ratio_tree,
 )
-from lwcg.intmath import ceil_div, compute_product, prod_factorial
+from lwcg.intmath import WIDE_SPAN, ceil_div, compute_product, prod_factorial
+from lwcg.ranking import split_nodes
 
 
 def all_bipartite_instances(max_side=3, max_deg=2):
@@ -140,29 +144,32 @@ def test_interval_invariants():
 
 
 def test_ratio_tree_matches_division():
-    # Every node over [i, j] holds (s_i)_{s_i - s_{j+1}} / prod(a_p!), with
-    # s_p the left degree sum from p on; without spine=True the internal
-    # nodes of the left spine are None.
+    # Every node the tree holds, the split nodes over more than LEAF_RUN
+    # left vertices and the runs below them, is over some [i, j] and holds
+    # (s_i)_{s_i - s_{j+1}} / prod(a_p!), with s_p the left degree sum
+    # from p on; without spine=True the split nodes of the left spine are
+    # None.
     rng = random.Random(26)
     seqs = [tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(rng.randint(1, 40)))
             for _ in range(60)]
+    seqs += [tuple(rng.choice((0, 1, 1, 2)) for _ in range(n)) for n in (70, 129)]
     seqs += [(1,) * length for length in (1, 2, 3, 17, 40)]
     for a in seqs:
         full, lean = ratio_tree(a, spine=True), ratio_tree(a)
         suf = [0] * (len(a) + 2)
         for p in range(len(a), 0, -1):
             suf[p] = suf[p + 1] + a[p - 1]
-
-        def walk(x, i, j, on_spine):
+        inner = {x for x, _, _ in split_nodes(len(a), LEAF_RUN)}
+        stack = [(1, 1, len(a))]
+        while stack:
+            x, i, j = stack.pop()
             s_i, s_j1 = suf[i], suf[j + 1]
             assert full[x] == compute_product(s_i, s_i - s_j1, 1) // prod_factorial(a, i, j)
-            assert lean[x] == (None if on_spine and i < j else full[x])
-            if i < j:
+            on_spine = x & (x - 1) == 0
+            assert lean[x] == (None if on_spine and x in inner else full[x])
+            if x in inner:
                 k = (i + j) // 2
-                walk(2 * x, i, k, on_spine)
-                walk(2 * x + 1, k + 1, j, False)
-
-        walk(1, 1, len(a), True)
+                stack += [(2 * x, i, k), (2 * x + 1, k + 1, j)]
 
 
 def test_edgeless_instance():
@@ -254,3 +261,66 @@ def test_one_right_vertex_has_rank_zero_only():
         w.write_elias_delta(value)
     with pytest.raises(CodecError):
         decode_sequence(4, BitReader(w.to_bytes()))
+
+
+def reference_rank(a, b, adj):
+    """ceil(N / l) by one sequential fold over the left vertices,
+    N = N C(s_v, a_v) + l z_v and l = l l_v, with s_v the left degree sum
+    from v on and (z_v, l_v) the terms of v's own step: plain lists, no
+    tree and no Fenwick tree."""
+    res = list(b)  # residual right degrees, 0-based
+    s, n, l = sum(a), 0, 1
+    for a_v, neigh in zip(a, adj):
+        z, l_v, q = 0, 1, a_v
+        for w in neigh:
+            z += l_v * comb(sum(res[w:]), q)  # S_{w+1}: residual degrees past w
+            l_v *= res[w - 1]
+            res[w - 1] -= 1
+            q -= 1
+        n, l, s = n * comb(s, a_v) + l * z, l * l_v, s - a_v
+    return -(-n // l)
+
+
+@st.composite
+def run_straddling_instances(draw):
+    """Left sides around the run length and WIDE_SPAN; mixed left degrees
+    0, 1 and above 1, or all ones (a sequence over K symbols, the last one
+    used, as encode_sequence builds it)."""
+    n_l = draw(st.sampled_from([1, LEAF_RUN - 1, LEAF_RUN, LEAF_RUN + 1, 3 * LEAF_RUN + 2,
+                                WIDE_SPAN + 7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["mixed", "K=1", "K=2", "many"]))
+    if shape == "mixed":
+        n_r = draw(st.integers(1, 40))
+        adj = tuple(tuple(sorted(rng.sample(range(1, n_r + 1), min(n_r, rng.choice((0, 1, 1, 2, 5))))))
+                    for _ in range(n_l))
+        b = tuple(sum(w in neigh for neigh in adj) for w in range(1, n_r + 1))
+        return BipartiteInstance(a=tuple(map(len, adj)), b=b, adj=adj)
+    k = {"K=1": 1, "K=2": 2}.get(shape) or draw(st.integers(3, 300))
+    y = [rng.randrange(k) for _ in range(n_l - 1)] + [k - 1]
+    rng.shuffle(y)
+    return BipartiteInstance(a=(1,) * n_l, b=tuple(map(y.count, range(k))),
+                             adj=tuple((1 + v,) for v in y))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(run_straddling_instances(), st.integers(0, 1 << 70))
+def test_rank_is_the_sequential_fold_across_runs(inst, extra):
+    # Leaf runs and the recursion above them give the rank the plain fold
+    # gives, and decode it back.  With all-ones left degrees and the last
+    # right degree positive, as a sequence payload has them, a rank of
+    # C = n! / prod(b_j!) or more raises, and so does the payload.
+    f = b_encode(inst)
+    assert f == reference_rank(inst.a, inst.b, inst.adj)
+    assert b_decode(f, inst.a, inst.b) == inst.adj
+    if set(inst.a) != {1} or not inst.b[-1]:
+        return
+    count = factorial(inst.n_l) // prod(map(factorial, inst.b))
+    assert f < count
+    with pytest.raises(ValueError):
+        b_decode(count + extra, inst.a, inst.b)
+    w = BitWriter()
+    for value in (inst.n_r, *(1 + bj for bj in inst.b), 1 + count + extra):
+        w.write_elias_delta(value)
+    with pytest.raises(CodecError):
+        decode_sequence(inst.n_l, BitReader(w.to_bytes()))

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from lwcg.intmath import (
-    binomial,
     ceil_div,
     compute_product,
     double_factorial_ratio,
@@ -92,12 +91,6 @@ def test_double_factorial_ratio_rejects_odd():
         double_factorial_ratio(3, 0)
     with pytest.raises(ValueError):
         double_factorial_ratio(4, 6)
-
-
-def test_binomial():
-    for n in range(15):
-        for m in range(18):
-            assert binomial(n, m) == (math.comb(n, m) if m <= n else 0)
 
 
 def test_ceil_div():

@@ -775,7 +775,8 @@ def test_checkpoint_arrays_the_encoder_never_writes_raise_codec_error(monkeypatc
 
 def channel_spans(monkeypatch, g, h, delta):
     """Encode g; return the stream and the bit spans [start, end) of its
-    type table, its star-edge channel and its vertex-type dictionary."""
+    type table, its star bitmap, its star-edge channel, its vertex-type
+    dictionary and its vertex-type id sequence."""
     import lwcg.pipeline as pipeline
     marks = []  # writer positions before and after each call below
 
@@ -792,13 +793,14 @@ def channel_spans(monkeypatch, g, h, delta):
     data = encode_marked_graph(g, h, delta)
     monkeypatch.undo()
     # star bitmap, star edges, then vertex types around the id sequence.
-    bitmap0, _, star0, star1, dict0, dict1, _, _ = marks
+    bitmap0, bitmap1, star0, star1, dict0, ids0, ids1, _ = marks
     r = BitReader(data)
     r.read_fixed(40)  # magic and version
     for _ in range(4):  # n, sigma_e, sigma_v, delta
         r.read_elias_delta()
-    return data, {"type_table": (r.position, bitmap0), "star_edges": (star0, star1),
-                  "dictionary": (dict0, dict1)}
+    return data, {"type_table": (r.position, bitmap0), "star_bitmap": (bitmap0, bitmap1),
+                  "star_edges": (star0, star1), "dictionary": (dict0, ids0),
+                  "vertex_ids": (ids0, ids1)}
 
 
 @pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
@@ -874,13 +876,16 @@ def mutated_body(draw, data, start, end):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from([(2, 4, "star_edges"), (2, 4, "dictionary"), (1, 20, "dictionary"),
-                        (2, 4, "type_table"), (1, 20, "type_table")]),
+                        (2, 4, "type_table"), (1, 20, "type_table"),
+                        (2, 4, "star_bitmap"), (1, 20, "star_bitmap"),
+                        (2, 4, "vertex_ids"), (1, 20, "vertex_ids")]),
        st.data())
 def test_fuzzed_side_channels_raise_only_codec_error(channel, data):
-    # Bit flips, cuts and splices inside the type table, the star channel
-    # or the vertex-type dictionary, resealed so the parsers behind the
-    # CRC see them: each case decodes to some graph or raises CodecError,
-    # fast.  (The star channel is empty at h = 1, delta = 20.)
+    # Bit flips, cuts and splices inside the type table, the star bitmap,
+    # the star channel, the vertex-type dictionary or the id sequence,
+    # resealed so the parsers behind the CRC see them: each case decodes
+    # to some graph or raises CodecError, fast.  (The star channel is
+    # empty at h = 1, delta = 20.)
     h, delta, name = channel
     stream, spans = fuzz_stream(h, delta)
     body = mutated_body(data.draw, stream, *spans[name])
@@ -888,7 +893,7 @@ def test_fuzzed_side_channels_raise_only_codec_error(channel, data):
     try:
         decode_marked_graph(resealed(body))
     except CodecError as exc:
-        assert "CRC-32" not in str(exc)
+        assert "CRC-32 mismatch" not in str(exc)
     assert time.perf_counter() - t0 < 2.0
 
 

@@ -5,12 +5,13 @@ f = ceil(N / prod(b_j!)), where N counts half-edge configurations whose
 adjacency vector precedes the graph's lexicographically.  N is computed by
 the divide-and-conquer recursion of `ranking` over intervals of left
 vertices down to runs of up to LEAF_RUN, decoded with interval proxies.
-Vertex p's ratio is C(s_p, a_p), s_p the left degree sum from p on, so one
-product tree built bottom-up from the left degrees holds them all.  A left
-vertex of degree 1 takes its step inline: z is the suffix sum past its
-neighbor, found in decoding by one Fenwick descent, and l that neighbor's
-residual degree.  Other degrees take `ranking.count_vertex`/`decode_vertex`
-over right vertices 1..n_r (`simple_graph` scales the same step by â!).
+Vertex p's ratio is C(s_p, a_p), s_p the left degree sum from p on; the
+encoder folds them into its runs' ratios, the decoder's tree multiplies
+them.  A left vertex of degree 1 takes its step inline: z is the suffix
+sum past its neighbor, found in decoding by one Fenwick descent, and l
+that neighbor's residual degree.  Other degrees take
+`ranking.count_vertex`/`decode_vertex` over right vertices 1..n_r
+(`simple_graph` scales the same step by â!).
 """
 
 from __future__ import annotations
@@ -62,23 +63,23 @@ class BipartiteInstance:
         return len(self.b)
 
 
-def ratio_tree(a, spine: bool = False) -> list:
-    """`ranking.ratio_tree` of the left degrees a over LEAF_RUN runs: the
-    ratio of [i, j] is (s_i)_{s_i - s_{j+1}} / prod(a_p!) = prod C(s_p, a_p)
-    over p in [i, j]."""
+def ratio_tree(a) -> list:
+    """The decoder's `ranking.ratio_tree` of left degrees a over LEAF_RUN
+    runs: the ratio of [i, j] is (s_i)_{s_i - s_{j+1}} / prod(a_p!) =
+    prod C(s_p, a_p) over p in [i, j]."""
     suf = list(accumulate(reversed(a), initial=0))[::-1]  # s_p = suf[p - 1]
     return ranking.ratio_tree(len(a), LEAF_RUN,
-                              lambda i, j: mpz(prod(map(comb, suf[i - 1:j], a[i - 1:j]))), spine)
+                              lambda i, j: mpz(prod(map(comb, suf[i - 1:j], a[i - 1:j]))))
 
 
-def _count(inst: BipartiteInstance, tree, trace):
-    """(N, l) of the whole instance by `ranking.count`."""
+def _count(inst: BipartiteInstance, trace):
+    """(N, l, r) of the whole instance by `ranking.count`."""
     a, adj, suf = inst.a, inst.adj, list(accumulate(reversed(inst.a), initial=0))[::-1]
     bres = [0] + [int(x) for x in inst.b]  # residual right degrees
     fen = SuffixFenwick(list(inst.b))
 
     def leaf(i, j):
-        n, l = ZERO, ONE
+        n, l, r = ZERO, ONE, ONE
         for v in range(i - 1, j):
             if a[v] == 1:
                 w = adj[v][0]
@@ -87,22 +88,23 @@ def _count(inst: BipartiteInstance, tree, trace):
                 bres[w] = l_v - 1
             else:
                 z, l_v = ranking.count_vertex(bres, fen, adj[v])
-            n, l = n * comb(suf[v], a[v]) + l * z, l * l_v
-        return n, l
+            r_v = comb(suf[v], a[v])
+            n, l, r = n * r_v + l * z, l * l_v, r * r_v
+        return n, l, r
 
-    return ranking.count(leaf, tree, LEAF_RUN, 1, 1, inst.n_l, trace)
+    return ranking.count(leaf, LEAF_RUN, 1, inst.n_l, trace)
 
 
 def b_configuration_count(inst: BipartiteInstance, trace=None):
     """N(G): configurations lexicographically below the graph's rows."""
-    return _count(inst, ratio_tree(inst.a, spine=trace is not None), trace)[0]
+    return _count(inst, trace)[0]
 
 
 def b_encode(inst: BipartiteInstance):
     """Rank of the bipartite graph: ceil(N / prod of right factorials)."""
     if inst.n_l == 0 or inst.n_r == 1:  # at most one graph: rank 0
         return ZERO
-    n, l = _count(inst, ratio_tree(inst.a), None)
+    n, l, _ = _count(inst, None)
     # l equals prod(b_j!) once the whole interval is consumed.
     return ceil_div(n, l)
 

@@ -50,33 +50,6 @@ class EdgeTypeTable:
         return per_vertex(self.start, pairs)
 
 
-class _LabelState:
-    """Maps message tuples to dense integer labels, first-seen order."""
-
-    __slots__ = ("table", "count", "is_star", "mark")
-
-    def __init__(self):
-        self.table = {}
-        self.count = 0
-        self.is_star = [0]  # slot 0 padding
-        self.mark = [0]
-
-    def send(self, t: tuple) -> int:
-        """Label for message t, allocating count+1 on first sight.
-
-        A message is a star iff its first element is 0; its mark component
-        is always its last element.
-        """
-        label = self.table.get(t)
-        if label is None:
-            self.count += 1
-            label = self.count
-            self.table[t] = label
-            self.is_star.append(1 if t[0] == 0 else 0)
-            self.mark.append(t[-1])
-        return label
-
-
 def _first_seen(keys):
     """Distinct keys in order of first appearance, and each key's rank."""
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -99,22 +72,21 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
     n, theta = g.n, g.theta
     start, owner, nbr, mark, mirror = g.start, g.owner, g.nbr, g.mark, g.mirror
 
-    # Round 0: each side's message is (own mark, 0, edge mark toward self);
-    # sending the distinct messages in first-seen order numbers them 1, 2, ...
+    # Round 0: each side's message is (own mark, 0, edge mark toward self).
+    # Each round numbers its distinct messages 1, 2, ... in first-seen
+    # order by one dict; a message is a star iff it starts with 0, and it
+    # ends with its mark.
     base = int(mark.max()) + 1 if len(mark) else 1
     messages, label = _first_seen(np.array(theta, dtype=np.int64)[owner] * base + mark)
     label += 1
-    state = _LabelState()
-    for k in messages.tolist():
-        state.send((k // base, 0, k % base))
+    labels = {(k // base, 0, k % base): x for x, k in enumerate(messages.tolist(), 1)}
 
     for _ in range(1, h):
-        is_star_old = state.is_star
+        is_star_old = [False, *(m[0] == 0 for m in labels)]
         inbound = label[mirror].tolist()
         marks, bounds = mark.tolist(), start.tolist()
-        state = _LabelState()
-        send = state.send
-        star_of = {}  # mark -> this round's star label (0, mark)
+        labels = {}
+        send = labels.setdefault
         out = []
         for v in range(1, n + 1):
             lo, hi = bounds[v], bounds[v + 1]
@@ -125,12 +97,8 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
                 s = list(zip(inbound[lo:hi], xv))
                 stars = [i for i in range(d) if is_star_old[s[i][0]]]
             if d > delta or len(stars) >= 2:
-                # Every side gets its mark's star: one send per new mark,
-                # in first-seen order, so the numbering is unchanged.
-                for xi in dict.fromkeys(xv):
-                    if xi not in star_of:
-                        star_of[xi] = send((0, xi))
-                out.extend(map(star_of.__getitem__, xv))
+                # Every side gets its mark's star.
+                out.extend([send((0, xi), len(labels) + 1) for xi in xv])
                 continue
             row = [0] * d
             order = sorted(range(d), key=s.__getitem__)
@@ -142,9 +110,9 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
                 for j in order:
                     if j != i_star:
                         t.extend(s[j])
-                        row[j] = send((0, xv[j]))
+                        row[j] = send((0, xv[j]), len(labels) + 1)
                 t.append(xv[i_star])
-                row[i_star] = send(tuple(t))
+                row[i_star] = send(tuple(t), len(labels) + 1)
             else:
                 for i in range(d):
                     t = [theta[v], d - 1]
@@ -152,20 +120,20 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
                         if j != i:
                             t.extend(s[j])
                     t.append(xv[i])
-                    row[i] = send(tuple(t))
+                    row[i] = send(tuple(t), len(labels) + 1)
             out.extend(row)
         label = np.array(out, dtype=np.int64)
 
     # Symmetrization: if the mirror side is a star, or either endpoint
     # degree exceeds delta, this side must be a star too.
-    star = np.array(state.is_star, dtype=bool)[label]
+    star = np.array([False, *(m[0] == 0 for m in labels)])[label]
     big = np.diff(start) > delta
     starred = ~star & (star[mirror] | big[owner] | big[nbr])
     star_marks, star_rank = _first_seen(mark[starred])
-    sent = [state.send((0, xi)) for xi in star_marks.tolist()]
+    sent = [labels.setdefault((0, xi), len(labels) + 1) for xi in star_marks.tolist()]
     label[starred] = np.array(sent, dtype=np.int64)[star_rank]
-    return EdgeTypeTable(tcount=state.count, t_is_star=tuple(state.is_star),
-                         t_mark=tuple(state.mark), label=label, star=star | starred,
+    return EdgeTypeTable(tcount=len(labels), t_is_star=(0, *(int(m[0] == 0) for m in labels)),
+                         t_mark=(0, *(m[-1] for m in labels)), label=label, star=star | starred,
                          start=start, mirror=mirror)
 
 

@@ -87,7 +87,7 @@ def encode_star_edges(g: NeighborListGraph, table: EdgeTypeTable, s, out: BitWri
     out.write_fields(rank[g.nbr[e]] - i - 1, np.frexp(np.maximum(c - 1, 1))[1])
 
 
-def decode_star_edges(reader: BitReader, s, n: int, sigma_e: int) -> np.ndarray:
+def decode_star_edges(reader: BitReader, s, sigma_e: int) -> np.ndarray:
     """Inverse of encode_star_edges; returns the (v, w, x, xp) records as
     an (m, 4) int64 array.  A record's slot gives its mark pair and v, and
     its offset, below the c star vertices after v, gives w."""
@@ -351,7 +351,7 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     s = [0] + decode_sequence(n, reader)
     if any(bit not in (0, 1) for bit in s):
         raise CodecError("star bitmap is not binary")
-    star_block = decode_star_edges(reader, s, n, sigma_e)
+    star_block = decode_star_edges(reader, s, sigma_e)
 
     dictionary, ids = decode_vertex_types(reader, n, delta, sigma_e, sigma_v, tcount)
     partition_deg, original_index = decode_partition_structures(dictionary, ids)

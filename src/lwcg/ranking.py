@@ -2,10 +2,11 @@
 
 Both count configurations over a vertex interval [i, j] split at
 k = (i+j)//2 as N_ij = N_ik r + l_ik N_kj and l_ij = l_ik l_kj, r being
-the interval ratio of [k+1, j].  Node x over [i, j] has children 2x over
-[i, k] and 2x+1 over [k+1, j], from node 1 over [1, n].  From WIDE_SPAN
-vertices on, products go to `mul` and quotients to `floor_div`; narrower
-intervals use the inline operators.  Intervals of at most thr vertices
+the interval ratio of [k+1, j]: `count` carries r_ij = r_ik r_kj up, and
+`decode` reads it from a `ratio_tree` built first.  Node x over [i, j]
+has children 2x over [i, k] and 2x+1 over [k+1, j], from node 1 over
+[1, n].  From WIDE_SPAN vertices on, products go to `mul` and quotients
+to `floor_div`; narrower intervals use the inline operators.  Intervals of at most thr vertices
 are leaf runs, each coded in one loop by N = N r_v + l z_v, l = l l_v.
 
 One vertex's step is shared too: `count_vertex` and `decode_vertex` place
@@ -37,46 +38,48 @@ def split_nodes(n: int, thr: int):
             stack.append((2 * x, i, k))
 
 
-def ratio_tree(n: int, thr: int, leaf, spine: bool = False) -> list:
-    """Interval ratios over [1, n] by node: leaf(i, j) on nodes over at
-    most thr vertices, the product of the children above.  The recursions
-    read only right children, so the internal nodes of the left spine
-    (1, 2, 4, ..., the largest products) stay None unless spine is true."""
+def ratio_tree(n: int, thr: int, leaf) -> list:
+    """The decoders' interval ratios over [1, n] by node: leaf(i, j) on
+    nodes over at most thr vertices, the product of the children above.
+    `decode` reads only right children and leaves, so the internal nodes
+    of the left spine (1, 2, 4, ..., the largest products) stay None."""
     tree = [None] * (4 * n // thr + 2)
 
-    def fill(x, i, j, need):
+    def fill(x, i, j):
         if j - i < thr:
             r = leaf(i, j)
         else:
             k = (i + j) // 2
-            right = fill(2 * x + 1, k + 1, j, True)
-            left = fill(2 * x, i, k, need)
-            if not need:
+            right = fill(2 * x + 1, k + 1, j)
+            left = fill(2 * x, i, k)
+            if i == 1:
                 return None
             r = left * right if j - i < WIDE_SPAN else mul(left, right)
         tree[x] = r
         return r
 
-    fill(1, 1, n, spine)
+    fill(1, 1, n)
     return tree
 
 
-def count(leaf, tree, thr, x, i, j, trace):
-    """(N_ij, l_ij) at node x over [i, j]; leaf(i, j), called in vertex
-    order, gives those of runs of at most thr vertices.  With a trace
-    list, (i, j, N_ij, l_ij, r_ij) is appended per interval visited."""
+def count(leaf, thr, i, j, trace):
+    """(N_ij, l_ij, r_ij) over [i, j]; leaf(i, j), called in vertex order,
+    gives those of runs of at most thr vertices.  Parents read only right
+    children's r, so above the leaves r_ij is None on the left spine (i = 1)
+    unless a trace list takes (i, j, N_ij, l_ij, r_ij) per interval."""
     if j - i < thr:
-        n_ij, l_ij = leaf(i, j)
+        n_ij, l_ij, r_ij = leaf(i, j)
     else:
         k = (i + j) // 2
-        n_ik, l_ik = count(leaf, tree, thr, 2 * x, i, k, trace)
-        n_kj, l_kj = count(leaf, tree, thr, 2 * x + 1, k + 1, j, trace)
+        n_ik, l_ik, r_ik = count(leaf, thr, i, k, trace)
+        n_kj, l_kj, r_kj = count(leaf, thr, k + 1, j, trace)
         times, _ = _INLINE if j - i < WIDE_SPAN else _WIDE
-        n_ij = times(n_ik, tree[2 * x + 1]) + times(l_ik, n_kj)
+        n_ij = times(n_ik, r_kj) + times(l_ik, n_kj)
         l_ij = times(l_ik, l_kj)
+        r_ij = times(r_ik, r_kj) if i > 1 or trace is not None else None
     if trace is not None:
-        trace.append((i, j, n_ij, l_ij, tree[x]))
-    return n_ij, l_ij
+        trace.append((i, j, n_ij, l_ij, r_ij))
+    return n_ij, l_ij, r_ij
 
 
 def decode(leaf, tree, thr, x, i, j, ntilde):

@@ -64,11 +64,10 @@ def split_threshold(pn: int) -> int:
     return (pn.bit_length() - 1) ** 2
 
 
-def _count(inst: SimpleInstance, spine: bool, trace):
-    """(N, l, checkpoints) of the whole instance by `ranking.count`."""
+def _count(inst: SimpleInstance, trace):
+    """(N, l, r, checkpoints) of the whole instance by `ranking.count`."""
     pn, fwd = inst.pn, inst.fwd
     s = [0, *accumulate((-2 * len(neigh) for neigh in fwd), initial=sum(inst.a))]
-    tree = ranking.ratio_tree(pn, 1, lambda i, j: double_factorial_ratio(s[i], s[j + 1]), spine)
     cps = [0] + [s[(i + j) // 2 + 1] for _, i, j in ranking.split_nodes(pn, split_threshold(pn))]
     ares = [0] + [int(x) for x in inst.a]  # residual degrees
     fen = SuffixFenwick(list(inst.a))
@@ -76,20 +75,20 @@ def _count(inst: SimpleInstance, spine: bool, trace):
     def leaf(i, _):
         z, l = ranking.count_vertex(ares, fen, fwd[i - 1])
         scale = math.factorial(len(fwd[i - 1]))  # â_i!, as the module docstring shows
-        return z * scale, l * scale
+        return z * scale, l * scale, double_factorial_ratio(s[i], s[i + 1])
 
-    return (*ranking.count(leaf, tree, 1, 1, 1, pn, trace), cps)
+    return (*ranking.count(leaf, 1, 1, pn, trace), cps)
 
 
 def s_configuration_count(inst: SimpleInstance, trace=None):
     """N(G): matchings of half-edges lexicographically below the graph."""
-    return _count(inst, trace is not None, trace)[0]
+    return _count(inst, trace)[0]
 
 
 def s_encode(inst: SimpleInstance):
     """Rank the graph; returns (f, checkpoints), cps[1:] being s_{k+1} at
     each split node in `ranking.split_nodes` order and cps[0] = 0."""
-    n, l, cps = _count(inst, False, None)
+    n, l, _, cps = _count(inst, None)
     return ceil_div(n, l), cps
 
 

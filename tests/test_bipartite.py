@@ -143,33 +143,50 @@ def test_interval_invariants():
         assert full[0][3] == expect_l
 
 
+def closed_form_ratio(a, i, j):
+    """prod C(s_p, a_p) over p in [i, j], s_p the left degree sum from p on."""
+    return prod(comb(sum(a[p - 1:]), a[p - 1]) for p in range(i, j + 1))
+
+
 def test_ratio_tree_matches_division():
-    # Every node the tree holds, the split nodes over more than LEAF_RUN
-    # left vertices and the runs below them, is over some [i, j] and holds
-    # (s_i)_{s_i - s_{j+1}} / prod(a_p!), with s_p the left degree sum
-    # from p on; without spine=True the split nodes of the left spine are
-    # None.
+    # Every node the decoder's tree holds, the split nodes over more than
+    # LEAF_RUN left vertices off the left spine and every run, is over some
+    # [i, j] and holds (s_i)_{s_i - s_{j+1}} / prod(a_p!), which is the
+    # closed form prod C(s_p, a_p); the spine's split nodes are None.
     rng = random.Random(26)
     seqs = [tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(rng.randint(1, 40)))
             for _ in range(60)]
     seqs += [tuple(rng.choice((0, 1, 1, 2)) for _ in range(n)) for n in (70, 129)]
     seqs += [(1,) * length for length in (1, 2, 3, 17, 40)]
     for a in seqs:
-        full, lean = ratio_tree(a, spine=True), ratio_tree(a)
-        suf = [0] * (len(a) + 2)
-        for p in range(len(a), 0, -1):
-            suf[p] = suf[p + 1] + a[p - 1]
+        tree = ratio_tree(a)
         inner = {x for x, _, _ in split_nodes(len(a), LEAF_RUN)}
         stack = [(1, 1, len(a))]
         while stack:
             x, i, j = stack.pop()
-            s_i, s_j1 = suf[i], suf[j + 1]
-            assert full[x] == compute_product(s_i, s_i - s_j1, 1) // prod_factorial(a, i, j)
-            on_spine = x & (x - 1) == 0
-            assert lean[x] == (None if on_spine and x in inner else full[x])
+            if i == 1 and x in inner:
+                assert tree[x] is None
+            else:
+                s_i, s_j1 = sum(a[i - 1:]), sum(a[j:])
+                assert tree[x] == compute_product(s_i, s_i - s_j1, 1) // prod_factorial(a, i, j)
+                assert tree[x] == closed_form_ratio(a, i, j)
             if x in inner:
                 k = (i + j) // 2
                 stack += [(2 * x, i, k), (2 * x + 1, k + 1, j)]
+
+
+def test_traced_ratios_match_closed_form():
+    # The encoder carries r_ij up the count recursion instead of building
+    # a tree; traced, every interval's ratio is prod C(s_p, a_p) over it.
+    rng = random.Random(27)
+    instances = [random_instance(rng, max_side=12, max_deg=4) for _ in range(150)]
+    instances += [random_instance(rng, max_side=70, max_deg=3) for _ in range(10)]
+    for inst in instances:
+        trace = []
+        b_configuration_count(inst, trace=trace)
+        assert len(trace) == 2 * len(list(split_nodes(inst.n_l, LEAF_RUN))) + 1
+        for i, j, _, _, r_ij in trace:
+            assert r_ij == closed_form_ratio(inst.a, i, j), (inst, i, j)
 
 
 def test_edgeless_instance():

@@ -43,17 +43,6 @@ def test_path_single_type():
     assert table.t_is_star[1] == 0
 
 
-def test_label_state_assignment():
-    from lwcg.edge_types import _LabelState
-    state = _LabelState()
-    assert state.send((1, 0, 1)) == 1
-    assert state.is_star[1:] == [0] and state.mark[1:] == [1]
-    assert state.send((1, 0, 1)) == 1
-    assert state.count == 1
-    assert state.send((0, 2)) == 2
-    assert state.is_star[1:] == [0, 1] and state.mark[1:] == [1, 2]
-
-
 def test_lambda_base_case():
     assert lambda_canonical(0, 1, MarkedTree(mark=2), delta=5) == (2, 0, 1)
 

@@ -71,7 +71,7 @@ def test_fig_star_edge_channel_wire_form(fig_graph):
     assert r.read_fixed(24 + 5) == 0b11111 << 12  # 12 slots closed before them
     assert r.read_fields([width(5 - 1)] * 5).tolist() == [0, 1, 2, 3, 4]
     assert r.position == len(out) == 5 + 29 + 15
-    records = decode_star_edges(BitReader(out.to_bytes()), s, 16, 2)
+    records = decode_star_edges(BitReader(out.to_bytes()), s, 2)
     assert records.tolist() == [[1, w, 2, 1] for w in range(2, 7)]
 
 
@@ -101,7 +101,7 @@ def test_star_edge_channel_without_star_vertices_skips_the_mark_pairs(monkeypatc
     assert len(out) == 0
     calls = []
     monkeypatch.setattr(BitReader, "read_fixed", lambda self, nbits: calls.append(nbits) or 0)
-    assert decode_star_edges(BitReader(b""), s, 3, sigma_e).shape == (0, 4)
+    assert decode_star_edges(BitReader(b""), s, sigma_e).shape == (0, 4)
     assert calls == []
 
 
@@ -130,7 +130,7 @@ def test_star_edge_channel_rows_endpoints_and_end():
     # (2, 1): edge 1-4 in star 1's slot.  Ones at closed + k.
     data, end = star_channel(3, [0, 2, 3 * 2 + 2], 12, [(0, 1), (0, 1), (1, 1)])
     r = BitReader(data)
-    assert decode_star_edges(r, STARS, 4, 2).tolist() == [[1, 3, 1, 1], [3, 4, 1, 1], [1, 4, 2, 1]]
+    assert decode_star_edges(r, STARS, 2).tolist() == [[1, 3, 1, 1], [3, 4, 1, 1], [1, 4, 2, 1]]
     assert r.position == end
 
 
@@ -143,7 +143,7 @@ def test_star_edge_channel_rows_endpoints_and_end():
 def test_star_edge_channel_refusals(m, ones, offsets, message):
     data, _ = star_channel(m, ones, 12, offsets)
     with pytest.raises(CodecError, match=message):
-        decode_star_edges(BitReader(data), STARS, 4, 2)
+        decode_star_edges(BitReader(data), STARS, 2)
 
 
 @st.composite
@@ -168,7 +168,7 @@ def test_decoded_star_edges_join_star_vertices(channel):
     # construction of the offsets; anything else is refused.
     s, n, sigma_e, data = channel
     try:
-        records = decode_star_edges(BitReader(data), s, n, sigma_e)
+        records = decode_star_edges(BitReader(data), s, sigma_e)
     except CodecError:
         return
     for v, w, x, xp in records.tolist():
@@ -182,12 +182,12 @@ def test_star_edge_channel_truncated():
     data, _ = star_channel(3, [0, 2, 8], 12, [(0, 1), (0, 1), (1, 1)])
     for nbytes in (0, 1, 2):
         with pytest.raises(TruncatedStreamError):
-            decode_star_edges(BitReader(data[:nbytes]), STARS, 4, 2)
+            decode_star_edges(BitReader(data[:nbytes]), STARS, 2)
     w = BitWriter()
     w.write_elias_delta(1 + 1000)
     w.write_fixed(0, 64)
     with pytest.raises(TruncatedStreamError, match="need 1012 bits"):
-        decode_star_edges(BitReader(w.to_bytes()), STARS, 4, 2)
+        decode_star_edges(BitReader(w.to_bytes()), STARS, 2)
 
 
 def test_huge_edge_mark_alphabet_without_stars_roundtrips():
@@ -210,7 +210,7 @@ def test_star_edges_roundtrip_random():
         s = find_star_vertices(nl, table)
         out = BitWriter()
         encode_star_edges(nl, table, s, out)
-        got = [tuple(r) for r in decode_star_edges(BitReader(out.to_bytes()), s, n, 2).tolist()]
+        got = [tuple(r) for r in decode_star_edges(BitReader(out.to_bytes()), s, 2).tolist()]
         expect = set()
         for v in range(1, n + 1):
             for i in range(nl.deg[v]):
@@ -776,9 +776,16 @@ def test_checkpoint_arrays_the_encoder_never_writes_raise_codec_error(monkeypatc
 def channel_spans(monkeypatch, g, h, delta):
     """Encode g; return the stream and the bit spans [start, end) of its
     type table, its star bitmap, its star-edge channel, its vertex-type
-    dictionary and its vertex-type id sequence."""
+    dictionary, its vertex-type id sequence and its partition ranks and
+    checkpoints, which end at the zero pad."""
     import lwcg.pipeline as pipeline
     marks = []  # writer positions before and after each call below
+    fixed = []  # writer positions at each write_fixed; the last two are the pad and the CRC
+
+    class Writer(pipeline.BitWriter):
+        def write_fixed(self, value, nbits):
+            fixed.append(self.bit_length)
+            super().write_fixed(value, nbits)
 
     def mark(fn):
         def call(*args):
@@ -790,6 +797,7 @@ def channel_spans(monkeypatch, g, h, delta):
 
     for name in ("encode_sequence", "encode_star_edges", "encode_vertex_types"):
         monkeypatch.setattr(pipeline, name, mark(getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "BitWriter", Writer)
     data = encode_marked_graph(g, h, delta)
     monkeypatch.undo()
     # star bitmap, star edges, then vertex types around the id sequence.
@@ -800,7 +808,7 @@ def channel_spans(monkeypatch, g, h, delta):
         r.read_elias_delta()
     return data, {"type_table": (r.position, bitmap0), "star_bitmap": (bitmap0, bitmap1),
                   "star_edges": (star0, star1), "dictionary": (dict0, ids0),
-                  "vertex_ids": (ids0, ids1)}
+                  "vertex_ids": (ids0, ids1), "partition_ranks": (ids1, fixed[-2])}
 
 
 @pytest.mark.parametrize("h, delta", [(1, 20), (2, 4)])
@@ -878,12 +886,13 @@ def mutated_body(draw, data, start, end):
 @given(st.sampled_from([(2, 4, "star_edges"), (2, 4, "dictionary"), (1, 20, "dictionary"),
                         (2, 4, "type_table"), (1, 20, "type_table"),
                         (2, 4, "star_bitmap"), (1, 20, "star_bitmap"),
-                        (2, 4, "vertex_ids"), (1, 20, "vertex_ids")]),
+                        (2, 4, "vertex_ids"), (1, 20, "vertex_ids"),
+                        (2, 4, "partition_ranks"), (1, 20, "partition_ranks")]),
        st.data())
 def test_fuzzed_side_channels_raise_only_codec_error(channel, data):
     # Bit flips, cuts and splices inside the type table, the star bitmap,
-    # the star channel, the vertex-type dictionary or the id sequence,
-    # resealed so the parsers behind the CRC see them: each case decodes
+    # the star channel, the vertex-type dictionary, the id sequence or the
+    # partition ranks and checkpoints, resealed so the parsers behind the CRC see them: each case decodes
     # to some graph or raises CodecError, fast.  (The star channel is
     # empty at h = 1, delta = 20.)
     h, delta, name = channel

@@ -48,18 +48,17 @@ def test_checkpoint_slots_cover_every_split(sizes):
 
 
 def test_ratio_tree_multiplies_leaves_up_to_the_spine():
-    # With leaf(i, j) = 2**(j - i + 1), node x over [i, j] must be the same.
+    # With leaf(i, j) = 2**(j - i + 1), node x over [i, j] must be the
+    # same, except the internal nodes of the left spine, which stay None.
     for n in range(1, 150):
         for thr in (1, 2, 3, 7, 16):
-            full = ratio_tree(n, thr, lambda i, j: 2 ** (j - i + 1), spine=True)
-            lean = ratio_tree(n, thr, lambda i, j: 2 ** (j - i + 1))
+            tree = ratio_tree(n, thr, lambda i, j: 2 ** (j - i + 1))
             inner = {x for x, _, _ in split_nodes(n, thr)}
             stack = [(1, 1, n)]
             while stack:
                 x, i, j = stack.pop()
-                assert full[x] == 2 ** (j - i + 1), (n, thr, x)
-                on_spine = x & (x - 1) == 0
-                assert lean[x] == (None if on_spine and x in inner else full[x])
+                on_spine = i == 1 and x in inner
+                assert tree[x] == (None if on_spine else 2 ** (j - i + 1)), (n, thr, x)
                 if x in inner:
                     k = (i + j) // 2
                     stack += [(2 * x, i, k), (2 * x + 1, k + 1, j)]

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -171,6 +172,24 @@ def test_interval_invariants():
         assert full[0][3] == prod_factorial(inst.a, 1, inst.pn)
         # The ratio carried up to the root matches all S half-edges.
         assert full[0][4] == double_factorial_ratio(sum(inst.a), 0)
+
+
+def test_traced_ratios_match_closed_form():
+    # The encoder carries r_ij up the count recursion instead of building
+    # a tree; traced, every interval's ratio is (s_i - 1)!! / (s_{j+1} - 1)!!,
+    # the odd numbers s_{j+1} + 1, ..., s_i - 1, s_i the half-edges left on
+    # entry to i.
+    rng = random.Random(36)
+    for _ in range(150):
+        inst = random_instance(rng, max_n=30, max_deg=5)
+        s = [0, sum(inst.a)]
+        for neigh in inst.fwd:
+            s.append(s[-1] - 2 * len(neigh))
+        trace = []
+        s_configuration_count(inst, trace=trace)
+        assert len(trace) == 2 * inst.pn - 1
+        for i, j, _, _, r_ij in trace:
+            assert r_ij == math.prod(range(s[j + 1] + 1, s[i], 2)), (inst, i, j)
 
 
 def test_s_values_follow_residual_identity():

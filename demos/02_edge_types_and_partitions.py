@@ -7,6 +7,8 @@ are grouped by label pair into unmarked partition graphs that the ranking
 codecs turn into single integers.
 """
 
+import numpy as np
+
 from lwcg import EdgeListGraph, extract_types, preprocess
 from lwcg.pipeline import find_deg, find_partition_graphs, find_star_vertices
 
@@ -33,9 +35,13 @@ print("star vertices:", [v for v in range(1, graph.n + 1) if stars[v]])
 
 # A signature is the vertex mark, then (label, mirror label, count) per
 # label pair; the stream sends the distinct ones once and an id per vertex.
+# find_deg holds them as columns: every signature's size, then all their
+# elements, sorted as tuples.
 dictionary, ids = find_deg(nl, table)
-print(f"{len(dictionary)} vertex types:  sig_2 = {dictionary[ids[1] - 1]}"
-      f"  sig_7 = {dictionary[ids[6] - 1]}")
+sizes, elements = dictionary
+signatures = [tuple(sig.tolist()) for sig in np.split(elements, np.cumsum(sizes)[:-1])]
+print(f"{len(sizes)} vertex types:  sig_2 = {signatures[ids[1] - 1]}"
+      f"  sig_7 = {signatures[ids[6] - 1]}")
 
 pdeg, padj = find_partition_graphs(nl, table, dictionary, ids)
 for key in sorted(padj):

@@ -48,7 +48,7 @@ def cmd_compress(args) -> int:
         _, adj = find_partition_graphs(nl, table, dictionary, ids)
         n_star_edges = int((table.star & (nl.nbr > nl.owner)).sum())
         print(f"types={table.tcount} star_vertices={sum(s[1:])} "
-              f"star_edges={n_star_edges} vertex_types={len(dictionary)} "
+              f"star_edges={n_star_edges} vertex_types={ids.max()} "
               f"partition_graphs={len(adj)} partition_keys={sorted(adj)}")
     return 0
 

@@ -59,6 +59,15 @@ def _first_seen(keys):
     return uniq[order], rank[inverse.reshape(-1)]
 
 
+def number_rows(rows):
+    """Dense numbers 0, 1, ... of the rows of an (m, w) array, w >= 1, equal
+    rows sharing one: one np.unique over the rows as byte strings, so the
+    numbers follow byte order, not the rows' numeric order."""
+    rows = np.ascontiguousarray(rows)
+    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+                     return_inverse=True)[1]
+
+
 def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
     """Label all half-edges of g with h-1 message rounds, cap delta.
 
@@ -75,11 +84,15 @@ def extract_types(g: NeighborListGraph, h: int, delta: int) -> EdgeTypeTable:
     # Round 0: each side's message is (own mark, 0, edge mark toward self).
     # Each round numbers its distinct messages 1, 2, ... in first-seen
     # order by one dict; a message is a star iff it starts with 0, and it
-    # ends with its mark.
-    base = int(mark.max()) + 1 if len(mark) else 1
-    messages, label = _first_seen(np.array(theta, dtype=np.int64)[owner] * base + mark)
+    # ends with its mark.  Round 0's key packs the dense ranks of the two
+    # marks, which fit int64 whatever the marks; first-seen order needs
+    # only key equality.
+    vm, vertex_rank = np.unique(np.array(theta, dtype=np.int64), return_inverse=True)
+    em, edge_rank = np.unique(mark, return_inverse=True)
+    messages, label = _first_seen(vertex_rank[owner] * len(em) + edge_rank)
     label += 1
-    labels = {(k // base, 0, k % base): x for x, k in enumerate(messages.tolist(), 1)}
+    pairs = zip(vm[messages // len(em)].tolist(), em[messages % len(em)].tolist())
+    labels = {(v, 0, x): i for i, (v, x) in enumerate(pairs, 1)}
 
     for _ in range(1, h):
         is_star_old = [False, *(m[0] == 0 for m in labels)]

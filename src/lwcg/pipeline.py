@@ -21,17 +21,13 @@ ED is the Elias delta code; width(x) = 1 + floor(log2(max(x, 1))).
 
 A vertex's type is its signature: its mark, then its degree profile as
 one (label, mirror label, count) triple per label pair, pairs increasing.
-Both sides hold the types as the (dictionary, ids) pair on the wire and
-build the partition tables, keys included, from it with one grouping;
-the stream carries only the ranks and each simple graph's checkpoints,
-one per split node.
-
-The side channels are columns, each written by one bulk call, read by
-one and checked with numpy.  The encoder's stages read the half-edge
-arrays and labels: the star bitmap is one scatter, the star channel one
-stable sort, the signatures one np.unique over packed (vertex, label
-pair) keys, and the partition graphs one stable sort by label pair.  The
-decoder builds all partition records in one pass after the ranks.
+Both sides hold the types as the int64 columns that cross the wire: the
+sorted distinct signatures' sizes and elements, and one id per vertex.
+From them they build the partition tables, keys included, with one
+grouping; the stream carries only the ranks and each simple graph's
+checkpoints.  Every side channel is a column, written by one bulk call,
+read by one and checked with numpy.  The decoder builds all partition
+records in one pass after the ranks.
 """
 
 from __future__ import annotations
@@ -39,14 +35,13 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
-import operator
 import zlib
 
 import numpy as np
 
 from .bipartite import BipartiteInstance, b_decode, b_encode
 from .bits import BitReader, BitWriter, CodecError, width
-from .edge_types import EdgeTypeTable, extract_types
+from .edge_types import EdgeTypeTable, extract_types, number_rows
 from .graph_model import EdgeListGraph, GraphFormatError, NeighborListGraph, preprocess
 from .sequences import decode_sequence, encode_sequence
 from .simple_graph import SimpleInstance, s_decode, s_encode
@@ -112,43 +107,57 @@ def decode_star_edges(reader: BitReader, s, sigma_e: int) -> np.ndarray:
 
 
 def find_deg(g: NeighborListGraph, table: EdgeTypeTable):
-    """Vertex types as (dictionary, ids): the sorted distinct signatures,
-    and per vertex 1..n its signature's 1-based position there.  One
-    np.unique over packed (vertex, label pair) keys, the pairs numbered in
-    sorted order first, lists each vertex's triples in signature order."""
+    """Vertex types as (dictionary, ids): the distinct signatures in tuple
+    order as (sizes, elements) int64 columns, and per vertex its 1-based
+    position there.  One np.unique over packed (vertex, label pair) keys,
+    the pairs numbered in sorted order first, gives each vertex's triples."""
     e = np.flatnonzero(~table.star)
     t = table.tcount + 1
     codes, pair = np.unique(table.label[e] * t + table.label[g.mirror[e]], return_inverse=True)
     keys, counts = np.unique(g.owner[e] * len(codes) + pair, return_counts=True)
+    del e, pair  # half-edge arrays: free them before the rows are built
     code = codes[keys % len(codes)]
-    triples = np.column_stack((code // t, code % t, counts)).ravel().tolist()
-    ends = (3 * np.searchsorted(keys // len(codes), np.arange(1, g.n + 2))).tolist()
-    seen = {}  # signature -> its number in order of first appearance
-    number = [seen.setdefault((mark, *triples[x:y]), len(seen))
-              for mark, x, y in zip(g.theta[1:], ends, ends[1:])]
-    dictionary = sorted(seen)
-    vid = np.argsort([seen[sig] for sig in dictionary]) + 1  # number -> id
-    return dictionary, vid[number].tolist()
+    flat = np.column_stack((code // t, code % t, counts)).ravel()
+    k = np.bincount(keys // len(codes), minlength=g.n + 1)[1:]  # triples per vertex
+    at, theta = 3 * (np.cumsum(k) - k), np.array(g.theta[1:], dtype=np.int64)
+    # Equal signatures share a number, size by size.  The distinct ones,
+    # padded with -1 so that a signature sorts before any longer one it
+    # prefixes, are put in tuple order by one lexsort.
+    number, rows = np.empty(g.n, dtype=np.int64), []
+    for w in np.flatnonzero(np.bincount(k)).tolist():  # the sizes that occur
+        v = np.flatnonzero(k == w)
+        group = np.column_stack((theta[v], flat[at[v, None] + np.arange(3 * w)]))
+        local = number_rows(group)
+        number[v] = local + sum(map(len, rows))
+        rows.append(group[np.unique(local, return_index=True)[1]])
+    sizes = np.repeat([r.shape[1] for r in rows], list(map(len, rows)))
+    padded = np.full((len(sizes), sizes[-1]), -1, dtype=np.int64)  # groups grow in size
+    for r, lo in zip(rows, np.cumsum([0, *map(len, rows)]).tolist()):
+        padded[lo:lo + len(r), :r.shape[1]] = r
+    del rows
+    order = np.lexsort(padded.T[::-1])  # the rows are distinct
+    padded = padded[order]
+    return (sizes[order], padded[padded >= 0]), np.argsort(order)[number] + 1
 
 
 def encode_vertex_types(dictionary, ids, n, delta, sigma_e, sigma_v, tcount, out: BitWriter):
-    """Joint coding of vertex marks and degree profiles: the dictionary
-    as columns, its size K, the K signature sizes, then every signature's
+    """Joint coding of vertex marks and degree profiles: the dictionary's
+    columns, its size K, the K signature sizes, then every signature's
     elements, in one write_fields call; then the ids by the sequence codec."""
+    sizes, elements = dictionary
     w_size = width(1 + 3 * delta)
     # Vertex marks can exceed the other alphabets, so the field width
     # must cover them too or the first signature entry would not fit.
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
-    sizes = list(map(len, dictionary))
-    out.write_fields([len(dictionary), *sizes, *itertools.chain.from_iterable(dictionary)],
-                     [width(n)] + [w_size] * len(sizes) + [w_elem] * sum(sizes))
-    encode_sequence(ids, out)
+    out.write_fields(np.concatenate(([len(sizes)], sizes, elements)),
+                     np.repeat([width(n), w_size, w_elem], [1, len(sizes), len(elements)]))
+    encode_sequence(ids.tolist(), out)
 
 
 def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
-    """Inverse of encode_vertex_types; returns the (dictionary, ids) it
-    read, refusing any signature the encoder never writes.  Each column
-    is read in one call and checked with numpy over all signatures."""
+    """Inverse of encode_vertex_types; returns the ((sizes, elements), ids)
+    columns it read, refusing any signature the encoder never writes.
+    Each column is read in one call and checked with numpy."""
     w_size = width(1 + 3 * delta)
     w_elem = width(max(sigma_e, sigma_v, tcount, delta))
     count = reader.read_fixed(width(n))
@@ -161,16 +170,27 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     size = size.astype(np.int64)
     if not size.all() or ((size - 1) % 3).any():
         raise CodecError("malformed vertex-type signature")
-    col = reader.read_fields(np.full(int(total), w_elem))
+    col = reader.read_fields(np.full(int(total), w_elem))  # uint64 until checked
     ends = np.cumsum(size)
     first = ends - size  # each signature's mark
-    flat = col.tolist()
-    dictionary = [tuple(flat[a:b]) for a, b in zip(first.tolist(), ends.tolist())]
-    if any(map(operator.ge, dictionary, dictionary[1:])):
+
+    def signature(k):  # as the refusals print it
+        return tuple(col[first[k]:ends[k]].tolist())
+    # Strict tuple order: at the first column where neighbors differ the
+    # later one is larger; where none differs the earlier is a prefix.
+    shared = np.minimum(size[:-1], size[1:])
+    pair = np.repeat(np.arange(len(shared)), shared)
+    at = np.arange(len(pair)) - (np.cumsum(shared) - shared)[pair]
+    a, b = col[first[pair] + at], col[first[pair + 1] + at]
+    where, i = np.unique(pair[a != b], return_index=True)
+    increasing = size[:-1] < size[1:]
+    increasing[where] = (b > a)[a != b][i]
+    if not increasing.all():
         raise CodecError("vertex-type dictionary is not strictly increasing")
-    bad = np.flatnonzero((col[first] < 1) | (col[first] > min(sigma_v, 2**64 - 1)))
+    top = min(sigma_v, 2**63 - 1)  # the decoded marks are int64
+    bad = np.flatnonzero((col[first] < 1) | (col[first] > top))
     if len(bad):
-        raise CodecError(f"vertex mark {dictionary[bad[0]][0]} outside 1..{sigma_v}")
+        raise CodecError(f"vertex mark {signature(bad[0])[0]} outside 1..{top}")
     label, mirror, counts = np.delete(col, first).reshape(-1, 3).T
     of = np.repeat(np.arange(count), size // 3)  # each triple's signature
     # Label pairs lie in 1..tcount and increase strictly within a signature.
@@ -179,31 +199,29 @@ def decode_vertex_types(reader: BitReader, n, delta, sigma_e, sigma_v, tcount):
     wrong = (pair.min(0) < 1) | (pair.max(0) > tcount) | ~after & (np.diff(of, prepend=-1) == 0)
     bad = np.flatnonzero(np.bincount(of, wrong, count))
     if len(bad):
-        sig = dictionary[bad[0]]
+        sig = signature(bad[0])
         raise CodecError(f"degree profile labels {list(zip(sig[1::3], sig[2::3]))} "
                          f"out of order or outside 1..{tcount}")
     # A non-star vertex has at most delta edges, and at most n - 1.
     cap = min(delta, n - 1)
     bad = np.flatnonzero(np.bincount(of, counts < 1, count) + (np.bincount(of, counts, count) > cap))
     if len(bad):
-        raise CodecError(f"degree counts {dictionary[bad[0]][3::3]} below 1 or above {cap}")
+        raise CodecError(f"degree counts {signature(bad[0])[3::3]} below 1 or above {cap}")
     ids = decode_sequence(n, reader)
     if not 1 <= min(ids) <= max(ids) <= count:
         raise CodecError("vertex type id out of range")
-    return dictionary, ids
+    return (size, col.astype(np.int64)), np.array(ids, dtype=np.int64)
 
 
 def _partition_tables(dictionary, ids):
     """Degree lists and member vertex arrays per label pair, both in vertex
     order, from the vertex types as they cross the wire: every vertex's
     triples, in vertex order, grouped by one stable sort on label pair."""
-    size = np.fromiter((len(sig) - 1 for sig in dictionary), np.int64, len(dictionary))
-    flat = np.fromiter(itertools.chain.from_iterable(sig[1:] for sig in dictionary),
-                       np.int64, size.sum())  # the triples, marks left out
-    y = np.array(ids, dtype=np.int64) - 1
+    size, flat = dictionary
+    y = ids - 1
     count = (size // 3)[y]  # triples per vertex
-    # A vertex's k-th triple starts 3k past its signature's first one.
-    shift = (np.cumsum(size) - size)[y] - 3 * (np.cumsum(count) - count)
+    # A vertex's k-th triple starts 3k past its signature's mark, plus 1.
+    shift = (np.cumsum(size) - size + 1)[y] - 3 * (np.cumsum(count) - count)
     at = np.repeat(shift, count) + 3 * np.arange(count.sum())
     base = int(flat[at + 1].max(initial=0)) + 1
     code = flat[at] * base + flat[at + 1]
@@ -284,6 +302,9 @@ def encode_marked_graph(g: EdgeListGraph, h: int, delta: int) -> bytes:
     """Compress a marked graph to bytes; lossless up to edge-record order."""
     if h < 1 or delta < 1:
         raise ValueError("need h >= 1 and delta >= 1")
+    if max(g.theta) > 2**63 - 1:  # the stages hold vertex marks in int64
+        v = next(v for v, mark in enumerate(g.theta, 1) if mark > 2**63 - 1)
+        raise ValueError(f"vertex {v}: mark {g.theta[v - 1]} beyond 64 bits")
     nl = preprocess(g)
     table = extract_types(nl, h, delta)
 
@@ -398,9 +419,10 @@ def decode_marked_graph(data: bytes) -> EdgeListGraph:
     if pad or reader.remaining():
         raise CodecError("stream does not end with a zero pad and its CRC-32")
 
+    sizes, elements = dictionary
+    theta = elements[np.cumsum(sizes) - sizes][ids - 1]  # a signature starts with its mark
     try:
-        return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e,
-                             theta=tuple(dictionary[vid - 1][0] for vid in ids),
+        return EdgeListGraph(n=n, sigma_v=sigma_v, sigma_e=sigma_e, theta=tuple(theta.tolist()),
                              edges=np.concatenate((star_block, records)))
     except GraphFormatError as exc:
         raise CodecError(f"decoded graph is invalid: {exc}") from exc

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from lwcg.graph_model import EdgeListGraph
@@ -48,11 +49,19 @@ def same_graph(a: EdgeListGraph, b: EdgeListGraph) -> bool:
             and a.edges.shape == b.edges.shape and a.edges.tolist() == b.edges.tolist())
 
 
+def vertex_types(dictionary, ids):
+    """The vertex-type columns ((sizes, elements), ids) as Python ints: the
+    signatures as a list of tuples, and the ids as a list."""
+    sizes, elements = dictionary
+    return [tuple(sig.tolist()) for sig in np.split(elements, np.cumsum(sizes)[:-1])], ids.tolist()
+
+
 def vertex_profiles(dictionary, ids):
     """[None], then each vertex's degree profile {(label, mirror label):
-    count}, read back from its signature in (dictionary, ids)."""
+    count}, read back from its signature in the vertex-type columns."""
+    signatures, ids = vertex_types(dictionary, ids)
     return [None] + [{(sig[k], sig[k + 1]): sig[k + 2] for k in range(1, len(sig), 3)}
-                     for sig in (dictionary[vid - 1] for vid in ids)]
+                     for sig in (signatures[vid - 1] for vid in ids)]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ test (pyproject.toml passes --benchmark-disable); print the timings with
     PYTHONPATH=src python -m pytest tests/test_bits_bench.py --benchmark-enable
 """
 
+import numpy as np
 import pytest
 
 from lwcg.bits import BitReader, BitWriter
@@ -26,7 +27,7 @@ def dictionary_fields():
 
     class Recorder(BitWriter):
         def write_fields(self, values, widths):
-            calls.append((values, widths))
+            calls.append((np.asarray(values).tolist(), np.asarray(widths).tolist()))
             super().write_fields(values, widths)
 
     encode_vertex_types(*find_deg(nl, table), g.n, 20, g.sigma_e, g.sigma_v,

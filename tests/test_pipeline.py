@@ -5,10 +5,11 @@ import random
 import time
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_marked_graph, same_graph, vertex_profiles
+from conftest import random_marked_graph, same_graph, vertex_profiles, vertex_types
 from lwcg.bits import BitReader, BitWriter, TruncatedStreamError, width
 from lwcg.edge_types import extract_types
 from lwcg.graph_model import EdgeListGraph, canonical_edges, preprocess
@@ -222,8 +223,8 @@ def test_star_edges_roundtrip_random():
 def test_fig_deg_profiles(fig_graph):
     nl, table = fig_tables(fig_graph)
     dictionary, ids = find_deg(nl, table)
-    assert dictionary == [(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)]
-    assert ids == [2] + [1] * 5 + [3] * 10
+    assert vertex_types(dictionary, ids) == ([(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)],
+                                             [2] + [1] * 5 + [3] * 10)
     deg = vertex_profiles(dictionary, ids)
     assert deg[1] == {}
     # Each spoke holds two type-(3,4) edges, matching the partition degree
@@ -245,7 +246,8 @@ def test_deg_sums_bounded_by_delta():
         nl = preprocess(g)
         table = extract_types(nl, rng.randint(1, 3), delta)
         dictionary, ids = find_deg(nl, table)
-        assert len(ids) == n and set(ids) == set(range(1, len(dictionary) + 1))
+        signatures, y = vertex_types(dictionary, ids)
+        assert len(y) == n and set(y) == set(range(1, len(signatures) + 1))
         deg = vertex_profiles(dictionary, ids)
         for v in range(1, n + 1):
             total = sum(deg[v].values())
@@ -269,8 +271,8 @@ def test_fig_vertex_type_dictionary_and_y(fig_graph):
     assert entries == [(1, 3, 4, 2), (2,), (2, 4, 3, 1, 5, 5, 1)]
     assert decode_sequence(16, r) == [2] + [1] * 5 + [3] * 10
     assert r.remaining() < 8
-    assert decode_vertex_types(BitReader(out.to_bytes()), 16, 4, 2, 2,
-                               table.tcount) == (dictionary, ids)
+    assert vertex_types(*decode_vertex_types(BitReader(out.to_bytes()), 16, 4, 2, 2,
+                                             table.tcount)) == vertex_types(dictionary, ids)
 
 
 def emitted_ids(monkeypatch, fig_graph):
@@ -305,18 +307,20 @@ def test_vertex_types_roundtrip_random():
         out = BitWriter()
         encode_vertex_types(dictionary, ids, n, delta, g.sigma_e, g.sigma_v,
                             table.tcount, out)
-        assert decode_vertex_types(BitReader(out.to_bytes()), n, delta, g.sigma_e,
-                                   g.sigma_v, table.tcount) == (dictionary, ids)
-        assert [dictionary[vid - 1][0] for vid in ids] == list(g.theta)
+        read = decode_vertex_types(BitReader(out.to_bytes()), n, delta, g.sigma_e,
+                                   g.sigma_v, table.tcount)
+        signatures, y = vertex_types(dictionary, ids)
+        assert vertex_types(*read) == (signatures, y)
+        assert [signatures[vid - 1][0] for vid in y] == list(g.theta)
 
 
-def vertex_type_block(entries, y):
+def vertex_type_block(entries, y, w_elem=width(2)):
     """A hand-built vertex-type block for n=4, delta=2, sigma_e=1,
     sigma_v=2 and tcount 1 or 2 (2-bit elements either way): the
     dictionary's signatures laid out as encode_vertex_types writes them,
-    then the id sequence y."""
+    then the id sequence y.  A wider w_elem serves a wider sigma_v."""
     out = BitWriter()
-    w_size, w_elem = width(1 + 3 * 2), width(2)
+    w_size = width(1 + 3 * 2)
     out.write_fixed(len(entries), width(4))
     out.write_fields([len(sig) for sig in entries], [w_size] * len(entries))
     flat = [x for sig in entries for x in sig]
@@ -329,10 +333,11 @@ def test_decoded_vertices_of_one_type_share_one_profile():
     # A vertex's profile is its dictionary entry, so vertices with one id
     # share one signature.
     reader = vertex_type_block([(1,), (2, 1, 1, 2)], [2, 1, 2, 2])
-    dictionary, ids = decode_vertex_types(reader, 4, 2, 1, 2, 1)
+    types = decode_vertex_types(reader, 4, 2, 1, 2, 1)
+    dictionary, ids = vertex_types(*types)
     assert dictionary == [(1,), (2, 1, 1, 2)] and ids == [2, 1, 2, 2]
     assert [dictionary[vid - 1][0] for vid in ids] == [2, 1, 2, 2]  # theta
-    deg = vertex_profiles(dictionary, ids)
+    deg = vertex_profiles(*types)
     assert deg[1:] == [{(1, 1): 2}, {}, {(1, 1): 2}, {(1, 1): 2}]
 
 
@@ -390,6 +395,44 @@ def test_dictionary_checks_match_per_signature_checks(entries, in_order):
         assert signatures_accepted(entries, 4, 2, 2, 2)
 
 
+@pytest.mark.parametrize("entries, accepted", [
+    ([(1,), (1, 1, 1, 1)], True),  # a prefix ranks lower
+    ([(1, 1, 1, 1), (1,)], False),
+    ([(1, 1, 1, 1), (1, 2, 1, 1)], True),  # the first differing column increases
+    ([(1, 2, 1, 1), (1, 1, 2, 1)], False),  # ... whatever follows it
+    ([(1, 1, 1, 1), (1, 1, 1, 1)], False),  # a repeated signature
+    ([(1,), (2,), (2,)], False),
+])
+def test_dictionary_order_is_tuple_order(entries, accepted):
+    assert sorted(set(entries)) == entries if accepted else sorted(set(entries)) != entries
+    reader = vertex_type_block(entries, [1] * 4)
+    if accepted:
+        types = decode_vertex_types(reader, 4, 2, 1, 2, 2)
+        assert vertex_types(*types) == (entries, [1] * 4)
+    else:
+        with pytest.raises(CodecError, match="not strictly increasing"):
+            decode_vertex_types(reader, 4, 2, 1, 2, 2)
+
+
+BIG = 2**63  # one past the largest int64
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(BIG,)], f"vertex mark {BIG} outside 1..{BIG - 1}$"),
+    ([(1,), (BIG,)], f"vertex mark {BIG} outside 1..{BIG - 1}$"),
+    ([(BIG,), (1,)], "not strictly increasing"),
+    ([(1, 1, 1, 1), (1, 1, BIG, 1)], r"labels \[\(1, 9223372036854775808\)\]"),
+    ([(1, BIG, 1, 1)], r"labels \[\(9223372036854775808, 1\)\]"),
+    ([(1, 1, 1, BIG)], r"counts \(9223372036854775808,\) below 1 or above 2"),
+])
+def test_dictionary_elements_beyond_int64_raise_codec_error(entries, message):
+    # sigma_v = 2**64 - 1 gives 64-bit elements, which may exceed the
+    # int64 columns the decoder returns; each is refused first.
+    reader = vertex_type_block(entries, [1] * 4, w_elem=64)
+    with pytest.raises(CodecError, match=message):
+        decode_vertex_types(reader, 4, 2, 1, 2**64 - 1, 2)
+
+
 def test_huge_signature_size_raises_codec_error_before_allocating():
     # delta = 2**20 gives 22-bit size fields; a size of 2**22 - 1 must be
     # refused against the stream left, not read as that many fields.
@@ -410,6 +453,28 @@ def test_vertex_marks_wider_than_other_alphabets():
                       edges=((1, 2, 1, 1),))
     data = encode_marked_graph(g, 1, 1)
     assert decode_marked_graph(data).theta == (3, 2)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("g", [
+    EdgeListGraph(n=3, sigma_v=2**62, sigma_e=2, theta=(2**62, 1, 2**62),
+                  edges=((1, 2, 2, 1), (2, 3, 2, 2))),
+    EdgeListGraph(n=3, sigma_v=2, sigma_e=2**62, theta=(2, 1, 2),
+                  edges=((1, 2, 2**62, 1), (2, 3, 2**62, 2**62 - 1))),
+], ids=["vertex_mark", "edge_mark"])
+def test_marks_near_int64_round_trip(g, h):
+    # Type extraction once packed a vertex mark times the edge-mark base
+    # into int64; at h = 1 these graphs decoded with wrong edge marks.
+    decoded = decode_marked_graph(encode_marked_graph(g, h, 4))
+    assert decoded.theta == g.theta and canonical_edges(decoded) == canonical_edges(g)
+
+
+def test_vertex_mark_beyond_int64_refused_by_encoder():
+    # The graph holds it; the encoder's int64 stages cannot.
+    g = EdgeListGraph(n=3, sigma_v=2**64, sigma_e=1, theta=(1, 2**63, 2**64),
+                      edges=((1, 2, 1, 1),))
+    with pytest.raises(ValueError, match=f"^vertex 2: mark {2**63} beyond 64 bits$"):
+        encode_marked_graph(g, 1, 4)
 
 
 def test_fig_partition_tables(fig_graph):
@@ -442,7 +507,8 @@ def test_fig_original_index(fig_graph):
 
 def test_partition_structures_empty():
     # Five vertices over two edgeless types: no label pair, no table.
-    pdeg, oi = decode_partition_structures([(1,), (2,)], [1, 2, 2, 1, 2])
+    pdeg, oi = decode_partition_structures((np.array([1, 1]), np.array([1, 2])),
+                                           np.array([1, 2, 2, 1, 2]))
     assert pdeg == {} and oi == {}
 
 
@@ -522,7 +588,7 @@ def test_identical_isolated_vertices_single_type():
     nl = preprocess(g)
     table = extract_types(nl, 1, 1)
     dictionary, ids = find_deg(nl, table)
-    assert dictionary == [(2,)] and ids == [1] * 5
+    assert vertex_types(dictionary, ids) == ([(2,)], [1] * 5)
     out = BitWriter()
     encode_vertex_types(dictionary, ids, 5, 1, 1, 2, table.tcount, out)
     r = BitReader(out.to_bytes())

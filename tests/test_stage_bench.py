@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import vertex_types
 from lwcg.bits import BitWriter
 from lwcg.edge_types import extract_types
 from lwcg.graph_model import preprocess
@@ -72,7 +73,7 @@ def test_bench_star_channel(benchmark, point):
 @pytest.mark.parametrize("point", POINTS)
 def test_bench_degree_profiles(benchmark, point):
     _, _, _, nl, table, _, types = stages(point)
-    assert benchmark(find_deg, nl, table) == types
+    assert vertex_types(*benchmark(find_deg, nl, table)) == vertex_types(*types)
 
 
 @pytest.mark.parametrize("point", POINTS)
@@ -82,4 +83,5 @@ def test_bench_partition_graphs(benchmark, point):
     _, _, _, nl, table, _, (dictionary, ids) = stages(point)
     _, adj = benchmark(find_partition_graphs, nl, table, dictionary, ids)
     listed = sum(len(row) for rows in adj.values() for row in rows)
-    assert 2 * listed == sum(sum(dictionary[vid - 1][3::3]) for vid in ids)
+    signatures, y = vertex_types(dictionary, ids)
+    assert 2 * listed == sum(sum(signatures[vid - 1][3::3]) for vid in y)

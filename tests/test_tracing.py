@@ -6,6 +6,7 @@ counts, which only a traced benchmark run would otherwise notice.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,11 +34,13 @@ def test_traced_round_trip_accounts_for_every_stage(sigma_e, sigma_v, h, delta):
         decoded = pipeline.decode_marked_graph(data)
     assert data == plain
     assert canonical_edges(decoded) == canonical_edges(g)
-    tracing.check_ledgers(enc, dec, data)
+    ledger = tracing.check_ledgers(enc, dec, data)
+    # The benchmark prints these as JSON: a numpy scalar among them fails.
+    json.dumps(tracing.layer_metrics(enc, dec, ledger))
     assert enc.count("partition_build") == dec.count("partition_build") == 1
     # find_deg and encode_vertex_types on one side, decode_vertex_types on
     # the other; pipeline.vertex_dict.signatures counts the dictionary.
     assert enc.count("vertex_types") == 2 and dec.count("vertex_types") == 1
     nl = preprocess(g)
-    dictionary, _ = pipeline.find_deg(nl, extract_types(nl, h, delta))
-    assert enc.notes["signatures"] == len(dictionary)
+    (sizes, _), _ = pipeline.find_deg(nl, extract_types(nl, h, delta))
+    assert enc.notes["signatures"] == len(sizes)
